@@ -1,7 +1,7 @@
-// Routing-throughput bench for the batch engine: routes/sec of the scalar
-// Router::route loop vs the batch Router::route_many path on a cached
-// Zipf-popularity workload (the destination-set locality that makes route
-// caching pay in dynamic traffic).
+// Routing-throughput bench: routes/sec of the scalar Router::route loop vs
+// Router::route_many on a cached Zipf-popularity workload (the
+// destination-set locality that makes route caching pay in dynamic
+// traffic).
 //
 // Sweeps:
 //   zipf:*       -- scalar vs batch throughput as the Zipf exponent of the
@@ -13,9 +13,10 @@
 //                   cache shard count (the RouteCacheConfig::shards default
 //                   was picked from this series)
 //
-// The headline numbers (meta.headline) are the acceptance gate: batch
-// route_many on the 16x16-mesh dual-path Zipf workload must beat the
-// scalar loop by >= 2x routes/sec.
+// route_many is Router's scalar loop, so batch and scalar throughput
+// agree up to noise; no script gates the headline ratio.  The committed
+// BENCH_route_throughput.json is the record of the removed batch fast path
+// (2.28x on the headline workload) and is not regenerated.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -151,7 +152,6 @@ obs::Json point(double x, const Throughput& t, const mcast::CachingRouter* cache
   if (cache != nullptr) {
     const mcast::RouteCacheStats st = cache->stats();
     p["hit_rate"] = obs::Json(st.hit_rate());
-    p["batch_dedup"] = obs::Json(st.batch_dedup);
   }
   return p;
 }
@@ -223,8 +223,6 @@ int main() {
     (void)measure_batch(*batch_router, w.pool, headline_batch);
     const Throughput scalar = measure_scalar(*scalar_router, w.sequence);
     const Throughput batch = measure_batch(*batch_router, w.sequence, headline_batch);
-    // Workload locality from the scalar router: the batch router's
-    // shard-level hit rate undercounts (memo hits never reach a shard).
     const double hit = scalar_router->stats().hit_rate();
     std::printf("%10.1f %16.0f %16.0f %9.1f%%\n", s, scalar.routes_per_s,
                 batch.routes_per_s, hit * 100.0);
@@ -243,8 +241,6 @@ int main() {
     (void)measure_batch(*batch_router, w.pool, headline_batch);
     const Throughput scalar = measure_scalar(*scalar_router, w.sequence);
     const Throughput batch = measure_batch(*batch_router, w.sequence, headline_batch);
-    // Workload locality from the scalar router: the batch router's
-    // shard-level hit rate undercounts (memo hits never reach a shard).
     const double hit = scalar_router->stats().hit_rate();
     std::printf("%10zu %16.0f %16.0f %9.1f%%\n", pool, scalar.routes_per_s,
                 batch.routes_per_s, hit * 100.0);

@@ -4,50 +4,37 @@
 
 namespace mcnet::mcast {
 
-void dual_path_prepare(const ham::Labeling& labeling, const MulticastRequest& request,
-                       DualPathSplit& out) {
-  out.high.clear();
-  out.low.clear();
-  const std::uint32_t ls = labeling.label(request.source);
-  for (const topo::NodeId d : request.destinations) {
-    (labeling.label(d) > ls ? out.high : out.low).push_back(d);
-  }
-  std::sort(out.high.begin(), out.high.end(), [&](topo::NodeId a, topo::NodeId b) {
-    return labeling.label(a) < labeling.label(b);
-  });
-  std::sort(out.low.begin(), out.low.end(), [&](topo::NodeId a, topo::NodeId b) {
-    return labeling.label(a) > labeling.label(b);
-  });
-}
-
 DualPathSplit dual_path_prepare(const ham::Labeling& labeling,
                                 const MulticastRequest& request) {
   DualPathSplit split;
-  dual_path_prepare(labeling, request, split);
+  const std::uint32_t ls = labeling.label(request.source);
+  for (const topo::NodeId d : request.destinations) {
+    (labeling.label(d) > ls ? split.high : split.low).push_back(d);
+  }
+  std::sort(split.high.begin(), split.high.end(), [&](topo::NodeId a, topo::NodeId b) {
+    return labeling.label(a) < labeling.label(b);
+  });
+  std::sort(split.low.begin(), split.low.end(), [&](topo::NodeId a, topo::NodeId b) {
+    return labeling.label(a) > labeling.label(b);
+  });
   return split;
 }
 
 MulticastRoute dual_path_route(const topo::Topology& topology, const ham::Labeling& labeling,
-                               const MulticastRequest& request, DualPathSplit& scratch) {
+                               const MulticastRequest& request) {
   const LabelRouter router(topology, labeling);
-  dual_path_prepare(labeling, request, scratch);
+  const DualPathSplit split = dual_path_prepare(labeling, request);
   MulticastRoute route;
   route.source = request.source;
-  if (!scratch.high.empty()) {
+  if (!split.high.empty()) {
     route.paths.push_back(
-        router.route_path(request.source, scratch.high, std::nullopt, kHighChannelClass));
+        router.route_path(request.source, split.high, std::nullopt, kHighChannelClass));
   }
-  if (!scratch.low.empty()) {
+  if (!split.low.empty()) {
     route.paths.push_back(
-        router.route_path(request.source, scratch.low, std::nullopt, kLowChannelClass));
+        router.route_path(request.source, split.low, std::nullopt, kLowChannelClass));
   }
   return route;
-}
-
-MulticastRoute dual_path_route(const topo::Topology& topology, const ham::Labeling& labeling,
-                               const MulticastRequest& request) {
-  DualPathSplit split;
-  return dual_path_route(topology, labeling, request, split);
 }
 
 }  // namespace mcnet::mcast

@@ -27,20 +27,8 @@ struct DualPathSplit {
 [[nodiscard]] DualPathSplit dual_path_prepare(const ham::Labeling& labeling,
                                               const MulticastRequest& request);
 
-/// Allocation-hoisted variant: clears and reuses `out`'s capacity, so batch
-/// loops prepare thousands of requests without per-request vector churn.
-void dual_path_prepare(const ham::Labeling& labeling, const MulticastRequest& request,
-                       DualPathSplit& out);
-
 [[nodiscard]] MulticastRoute dual_path_route(const topo::Topology& topology,
                                              const ham::Labeling& labeling,
                                              const MulticastRequest& request);
-
-/// Batch variant routing through a caller-owned split workspace (see
-/// Router::route_many); produces exactly the same route as the plain form.
-[[nodiscard]] MulticastRoute dual_path_route(const topo::Topology& topology,
-                                             const ham::Labeling& labeling,
-                                             const MulticastRequest& request,
-                                             DualPathSplit& scratch);
 
 }  // namespace mcnet::mcast

@@ -6,15 +6,8 @@ namespace mcnet::mcast {
 
 MulticastRoute fixed_path_route(const topo::Topology& topology, const ham::Labeling& labeling,
                                 const MulticastRequest& request) {
-  DualPathSplit split;
-  return fixed_path_route(topology, labeling, request, split);
-}
-
-MulticastRoute fixed_path_route(const topo::Topology& topology, const ham::Labeling& labeling,
-                                const MulticastRequest& request, DualPathSplit& scratch) {
   (void)topology;  // adjacency is implied by the Hamiltonian labeling
-  dual_path_prepare(labeling, request, scratch);
-  const DualPathSplit& split = scratch;
+  const DualPathSplit split = dual_path_prepare(labeling, request);
   const std::uint32_t ls = labeling.label(request.source);
 
   MulticastRoute route;

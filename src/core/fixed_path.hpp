@@ -15,11 +15,4 @@ namespace mcnet::mcast {
                                               const ham::Labeling& labeling,
                                               const MulticastRequest& request);
 
-/// Batch variant reusing a caller-owned split workspace (Router::route_many
-/// hoists it out of the per-request loop); same route as the plain form.
-[[nodiscard]] MulticastRoute fixed_path_route(const topo::Topology& topology,
-                                              const ham::Labeling& labeling,
-                                              const MulticastRequest& request,
-                                              DualPathSplit& scratch);
-
 }  // namespace mcnet::mcast

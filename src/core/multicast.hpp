@@ -16,8 +16,8 @@ using topo::NodeId;
 /// Reusable duplicate-scan workspace for request normalization: an
 /// epoch-tagged mark per node id, grown on demand and never cleared, so a
 /// scan over an n-node id space costs O(destinations) with zero allocations
-/// once the buffer has reached n.  One instance per thread (or per batch
-/// loop); not thread-safe itself.
+/// once the buffer has reached n.  One instance per thread; not
+/// thread-safe itself.
 class RequestScratch {
  public:
   /// Start a new scan over a `num_nodes`-node id space.
@@ -44,8 +44,7 @@ struct MulticastRequest {
   std::vector<NodeId> destinations;
 
   /// Raw identity: same source and same destination list in the same
-  /// order (the batch-dedup notion of "the same request"; permutations of
-  /// one multicast set compare unequal).
+  /// order (permutations of one multicast set compare unequal).
   friend bool operator==(const MulticastRequest&, const MulticastRequest&) = default;
 
   /// Throws std::invalid_argument on duplicate destinations, destination ==

@@ -1,4 +1,4 @@
-#include "core/route_batch.hpp"
+#include "core/route_arena.hpp"
 
 #include <algorithm>
 
@@ -53,39 +53,6 @@ std::size_t RouteBatch::append(const MulticastRoute& route) {
     tree_links_.insert(tree_links_.end(), t.links.begin(), t.links.end());
     tree_deliveries_.insert(tree_deliveries_.end(), t.delivery_links.begin(),
                             t.delivery_links.end());
-    trees_.push_back(span);
-  }
-  requests_.push_back(req);
-  return requests_.size() - 1;
-}
-
-std::size_t RouteBatch::append_from(const RouteBatch& other, std::size_t index) {
-  const RequestSpan& src = other.requests_[index];
-  RequestSpan req;
-  req.source = src.source;
-  req.paths_begin = static_cast<std::uint32_t>(paths_.size());
-  req.paths_count = src.paths_count;
-  req.trees_begin = static_cast<std::uint32_t>(trees_.size());
-  req.trees_count = src.trees_count;
-
-  for (const PathSpan& p : other.paths_of(index)) {
-    PathSpan span = p;
-    span.nodes_begin = static_cast<std::uint32_t>(path_nodes_.size());
-    span.deliveries_begin = static_cast<std::uint32_t>(path_deliveries_.size());
-    const auto nodes = other.path_nodes(p);
-    const auto deliveries = other.path_deliveries(p);
-    path_nodes_.insert(path_nodes_.end(), nodes.begin(), nodes.end());
-    path_deliveries_.insert(path_deliveries_.end(), deliveries.begin(), deliveries.end());
-    paths_.push_back(span);
-  }
-  for (const TreeSpan& t : other.trees_of(index)) {
-    TreeSpan span = t;
-    span.links_begin = static_cast<std::uint32_t>(tree_links_.size());
-    span.deliveries_begin = static_cast<std::uint32_t>(tree_deliveries_.size());
-    const auto links = other.tree_links(t);
-    const auto deliveries = other.tree_deliveries(t);
-    tree_links_.insert(tree_links_.end(), links.begin(), links.end());
-    tree_deliveries_.insert(tree_deliveries_.end(), deliveries.begin(), deliveries.end());
     trees_.push_back(span);
   }
   requests_.push_back(req);

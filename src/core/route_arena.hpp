@@ -5,12 +5,10 @@
 // arenas (path nodes, path delivery hops, tree links, tree delivery links)
 // plus per-path / per-tree / per-request offset spans into them.  Appending
 // a route copies its data into the arenas; once the arenas have warmed up
-// to the batch working-set size, appends allocate nothing -- which is what
-// makes batch cache hits cheap compared to returning a fresh pointer-heavy
-// MulticastRoute per request.  route_at(i) converts element i back to a
-// MulticastRoute, and equals exactly what the scalar API would have
-// produced for requests[i] (the batch/scalar equivalence property pinned
-// by tests/test_route_batch.cpp).
+// to the batch working-set size, appends allocate nothing.  route_at(i)
+// converts element i back to a MulticastRoute, and equals exactly what the
+// scalar API would have produced for requests[i] (the batch/scalar
+// equivalence property the RouteMany tests pin).
 //
 // A RouteBatch is a value type: movable, copyable, no internal pointers
 // (spans are index-based), so it can cross thread boundaries freely.
@@ -70,10 +68,6 @@ class RouteBatch {
 
   /// Copy one scalar route into the arenas; returns its element index.
   std::size_t append(const MulticastRoute& route);
-
-  /// Copy element `index` of `other` into this batch (arena-to-arena, no
-  /// per-route allocation once capacity is warm); returns the new index.
-  std::size_t append_from(const RouteBatch& other, std::size_t index);
 
   /// Convert element `index` back to the pointer-heavy scalar form.
   [[nodiscard]] MulticastRoute route_at(std::size_t index) const;

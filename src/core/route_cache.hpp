@@ -11,19 +11,10 @@
 // consistent (hits, misses, evictions) snapshot rather than a torn mix of
 // before/after values.
 //
-// route_many() is the batch fast path: requests are deduped on raw
-// identity first (identical requests inside a batch collapse onto one
-// slot without even being canonicalized), survivors probe a thread-local
-// direct-mapped route memo (an L1 over the sharded LRU: no lock, no key
-// sort), and only memo misses are normalized into cache keys and grouped
-// so each shard's mutex is taken once per batch instead of once per
-// request.  Results land in one arena-backed RouteBatch instead of N
-// pointer-heavy route copies.  Cache entries are shared_ptr-held, so memo
-// references stay valid even after the LRU evicts the entry; clear()
-// bumps a generation counter that invalidates every thread's memo.
+// There is one lookup path: route_many() is Router's scalar loop, so every
+// request of a batch takes one shard lookup and is counted there.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 
@@ -46,9 +37,7 @@ struct RouteCacheConfig {
   /// exceeds capacity the shard count is clamped to capacity so every
   /// shard can hold at least one route.  The default of 8 was tuned with
   /// bench_route_throughput's shard sweep: contended multi-threaded
-  /// lookups gain up to ~2x from 1 -> 8 shards and plateau beyond that,
-  /// while the single-threaded batch path is shard-count-insensitive (one
-  /// lock acquisition per shard per batch).
+  /// lookups gain up to ~2x from 1 -> 8 shards and plateau beyond that.
   std::size_t shards = 8;
 };
 
@@ -56,13 +45,9 @@ struct RouteCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t evictions = 0;
-  /// route_many() breakdown: unique-identity lookups served from a cache
-  /// level / computed, and requests folded onto an identical request in
-  /// the same batch (batch_hits + batch_misses + batch_dedup == requests
-  /// routed through route_many).  Deduped requests never touch a shard,
-  /// and batch_hits includes thread-local memo hits that bypass the
-  /// shards entirely -- so the shard-level `hits` counter undercounts
-  /// batch traffic relative to batch_hits by design.
+  /// Always 0: route_many() is Router's scalar loop, so batch requests are
+  /// counted in `hits` / `misses` like any other.  Retained only because
+  /// perfbench/src/workloads.cpp still reads them.
   std::uint64_t batch_hits = 0;
   std::uint64_t batch_misses = 0;
   std::uint64_t batch_dedup = 0;
@@ -84,14 +69,6 @@ class CachingRouter final : public Router {
   /// lock.  Destination order does not affect the cache key, so permuted
   /// requests for the same multicast set share one entry.
   [[nodiscard]] MulticastRoute route(const MulticastRequest& request) const override;
-
-  /// Batch lookup: intra-batch dedup on raw request identity, a lock-free
-  /// thread-local memo in front of the shards, one shard-mutex
-  /// acquisition per shard per batch for the rest, misses computed in one
-  /// inner route_many call, results assembled arena-to-arena.
-  /// Element i always equals route(requests[i]).
-  [[nodiscard]] RouteBatch route_many(
-      std::span<const MulticastRequest> requests) const override;
 
   [[nodiscard]] std::vector<worm::WormSpec> specs(const MulticastRoute& route) const override {
     return inner_->specs(route);
@@ -121,23 +98,16 @@ class CachingRouter final : public Router {
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   /// Effective shard count (config.shards clamped to capacity).
   [[nodiscard]] std::size_t shards() const { return num_shards_; }
-  /// Drops every cached route and invalidates all thread-local batch
-  /// memos (their entries carry the generation current at fill time).
+  /// Drops every cached route.
   void clear();
 
  private:
   struct Shard;
-  struct BatchCounters;
 
   std::unique_ptr<Router> inner_;
   std::size_t capacity_;
   std::size_t num_shards_;
   std::unique_ptr<Shard[]> shards_;
-  std::unique_ptr<BatchCounters> batch_;
-  /// Globally unique per (instance, clear() epoch): thread-local memo
-  /// entries tagged with an older generation -- or one from a destroyed
-  /// router that happened to reuse this address -- never match.
-  std::atomic<std::uint64_t> generation_;
   obs::Counter* metric_hits_ = nullptr;
   obs::Counter* metric_misses_ = nullptr;
   obs::Counter* metric_evictions_ = nullptr;

@@ -53,18 +53,6 @@ MeshRoutingSuite::MeshRoutingSuite(const topo::Mesh2D& mesh)
   }
 }
 
-MulticastRoute MeshRoutingSuite::route(Algorithm a, const MulticastRequest& request,
-                                       RouteScratch& scratch) const {
-  switch (a) {
-    case Algorithm::kDualPath:
-      return dual_path_route(*mesh_, labeling_, request, scratch.split);
-    case Algorithm::kFixedPath:
-      return fixed_path_route(*mesh_, labeling_, request, scratch.split);
-    default:
-      return route(a, request);
-  }
-}
-
 MulticastRoute MeshRoutingSuite::route(Algorithm a, const MulticastRequest& request) const {
   switch (a) {
     case Algorithm::kMultiUnicast:
@@ -106,18 +94,6 @@ CubeRoutingSuite::CubeRoutingSuite(const topo::Hypercube& cube)
       labeling_(cube),
       unicast_(cdg::ecube_routing(cube)),
       cycle_(ham::hypercube_gray_cycle(cube)) {}
-
-MulticastRoute CubeRoutingSuite::route(Algorithm a, const MulticastRequest& request,
-                                       RouteScratch& scratch) const {
-  switch (a) {
-    case Algorithm::kDualPath:
-      return dual_path_route(*cube_, labeling_, request, scratch.split);
-    case Algorithm::kFixedPath:
-      return fixed_path_route(*cube_, labeling_, request, scratch.split);
-    default:
-      return route(a, request);
-  }
-}
 
 MulticastRoute CubeRoutingSuite::route(Algorithm a, const MulticastRequest& request) const {
   switch (a) {
@@ -162,18 +138,6 @@ LabeledRoutingSuite::LabeledRoutingSuite(const topo::Topology& topology,
   unicast_ = [router](topo::NodeId cur, topo::NodeId dst) {
     return cur == dst ? topo::kInvalidNode : router.next_hop(cur, dst);
   };
-}
-
-MulticastRoute LabeledRoutingSuite::route(Algorithm a, const MulticastRequest& request,
-                                          RouteScratch& scratch) const {
-  switch (a) {
-    case Algorithm::kDualPath:
-      return dual_path_route(*topology_, *labeling_, request, scratch.split);
-    case Algorithm::kFixedPath:
-      return fixed_path_route(*topology_, *labeling_, request, scratch.split);
-    default:
-      return route(a, request);
-  }
 }
 
 MulticastRoute LabeledRoutingSuite::route(Algorithm a, const MulticastRequest& request) const {

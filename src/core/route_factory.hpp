@@ -9,7 +9,6 @@
 #include <string_view>
 
 #include "cdg/channel_graph.hpp"
-#include "core/dual_path.hpp"
 #include "core/multicast.hpp"
 #include "topology/hamiltonian.hpp"
 #include "topology/hypercube.hpp"
@@ -40,24 +39,12 @@ enum class Algorithm {
 /// names (shared by the CLI tools).
 [[nodiscard]] Algorithm parse_algorithm(std::string_view name);
 
-/// Per-batch routing workspace: scratch buffers the suites reuse across the
-/// requests of one Router::route_many call instead of re-allocating per
-/// request (the dual-/fixed-path destination split today; more as further
-/// algorithms grow batch variants).  One instance per batch loop; not
-/// thread-safe.
-struct RouteScratch {
-  DualPathSplit split;
-};
-
 /// All algorithms instantiated for a 2-D mesh.
 class MeshRoutingSuite {
  public:
   explicit MeshRoutingSuite(const topo::Mesh2D& mesh);
 
   [[nodiscard]] MulticastRoute route(Algorithm a, const MulticastRequest& request) const;
-  /// Batch-loop variant: identical routes, scratch reused across requests.
-  [[nodiscard]] MulticastRoute route(Algorithm a, const MulticastRequest& request,
-                                     RouteScratch& scratch) const;
 
   [[nodiscard]] const topo::Mesh2D& mesh() const { return *mesh_; }
   [[nodiscard]] const ham::MeshBoustrophedonLabeling& labeling() const { return labeling_; }
@@ -78,9 +65,6 @@ class CubeRoutingSuite {
   explicit CubeRoutingSuite(const topo::Hypercube& cube);
 
   [[nodiscard]] MulticastRoute route(Algorithm a, const MulticastRequest& request) const;
-  /// Batch-loop variant: identical routes, scratch reused across requests.
-  [[nodiscard]] MulticastRoute route(Algorithm a, const MulticastRequest& request,
-                                     RouteScratch& scratch) const;
 
   [[nodiscard]] const topo::Hypercube& cube() const { return *cube_; }
   [[nodiscard]] const ham::HypercubeGrayLabeling& labeling() const { return labeling_; }
@@ -104,9 +88,6 @@ class LabeledRoutingSuite {
                       std::unique_ptr<ham::Labeling> labeling);
 
   [[nodiscard]] MulticastRoute route(Algorithm a, const MulticastRequest& request) const;
-  /// Batch-loop variant: identical routes, scratch reused across requests.
-  [[nodiscard]] MulticastRoute route(Algorithm a, const MulticastRequest& request,
-                                     RouteScratch& scratch) const;
 
   [[nodiscard]] const topo::Topology& topology() const { return *topology_; }
   [[nodiscard]] const ham::Labeling& labeling() const { return *labeling_; }

@@ -113,20 +113,6 @@ MulticastRoute MeshRouter::route(const MulticastRequest& request) const {
   return suite_.route(algorithm_, request.normalized(suite_.mesh().num_nodes()));
 }
 
-RouteBatch MeshRouter::route_many(std::span<const MulticastRequest> requests) const {
-  const std::uint32_t n = suite_.mesh().num_nodes();
-  RouteBatch batch;
-  batch.reserve(requests.size());
-  RequestScratch normalize;
-  MulticastRequest storage;
-  RouteScratch scratch;
-  for (const MulticastRequest& request : requests) {
-    batch.append(suite_.route(algorithm_, request.normalize_into(n, normalize, storage),
-                              scratch));
-  }
-  return batch;
-}
-
 std::vector<worm::WormSpec> MeshRouter::specs(const MulticastRoute& route) const {
   return worm::make_worm_specs(suite_.mesh(), route, copies_);
 }
@@ -138,20 +124,6 @@ CubeRouter::CubeRouter(const topo::Hypercube& cube, Algorithm algorithm, std::ui
 
 MulticastRoute CubeRouter::route(const MulticastRequest& request) const {
   return suite_.route(algorithm_, request.normalized(suite_.cube().num_nodes()));
-}
-
-RouteBatch CubeRouter::route_many(std::span<const MulticastRequest> requests) const {
-  const std::uint32_t n = suite_.cube().num_nodes();
-  RouteBatch batch;
-  batch.reserve(requests.size());
-  RequestScratch normalize;
-  MulticastRequest storage;
-  RouteScratch scratch;
-  for (const MulticastRequest& request : requests) {
-    batch.append(suite_.route(algorithm_, request.normalize_into(n, normalize, storage),
-                              scratch));
-  }
-  return batch;
 }
 
 std::vector<worm::WormSpec> CubeRouter::specs(const MulticastRoute& route) const {
@@ -167,20 +139,6 @@ LabeledRouter::LabeledRouter(const topo::Topology& topology,
 
 MulticastRoute LabeledRouter::route(const MulticastRequest& request) const {
   return suite_.route(algorithm_, request.normalized(suite_.topology().num_nodes()));
-}
-
-RouteBatch LabeledRouter::route_many(std::span<const MulticastRequest> requests) const {
-  const std::uint32_t n = suite_.topology().num_nodes();
-  RouteBatch batch;
-  batch.reserve(requests.size());
-  RequestScratch normalize;
-  MulticastRequest storage;
-  RouteScratch scratch;
-  for (const MulticastRequest& request : requests) {
-    batch.append(suite_.route(algorithm_, request.normalize_into(n, normalize, storage),
-                              scratch));
-  }
-  return batch;
 }
 
 std::vector<worm::WormSpec> LabeledRouter::specs(const MulticastRoute& route) const {

@@ -8,7 +8,8 @@
 // Implementations are immutable after construction and safe to share
 // across threads, so parallel experiment sweeps can route through a single
 // instance (see CachingRouter in core/route_cache.hpp for the memoizing
-// decorator that makes repeated destination sets a cache hit).
+// decorator that makes repeated destination sets a cache hit).  Every
+// request is routed by one route() call; route_many() is a loop over it.
 #pragma once
 
 #include <memory>
@@ -16,7 +17,7 @@
 #include <string_view>
 #include <vector>
 
-#include "core/route_batch.hpp"
+#include "core/route_arena.hpp"
 #include "core/route_factory.hpp"
 #include "wormhole/worm.hpp"
 
@@ -32,31 +33,18 @@ class Router {
   /// std::invalid_argument instead of producing a degenerate worm.
   [[nodiscard]] virtual MulticastRoute route(const MulticastRequest& request) const = 0;
 
-  /// Route a whole batch of requests into one arena-backed RouteBatch.
-  /// Element i of the result converts (route_at) to exactly what
-  /// route(requests[i]) returns -- the batch/scalar equivalence every
-  /// override must preserve.  The base implementation is the
-  /// correct-by-construction scalar loop; decorators override it where
-  /// batch state amortises: CachingRouter groups lookups per shard (one
-  /// lock acquisition per shard per batch, intra-batch dedup of identical
-  /// normalized requests), FaultAwareRouter checks the fault epoch once,
-  /// and the suite adapters hoist normalization and labeling scratch into
-  /// per-batch workspaces.  Throws whatever route() would throw on the
-  /// first invalid request encountered (order may differ from the scalar
-  /// loop across an invalid batch).
+  /// Route a whole batch of requests into one arena-backed RouteBatch:
+  /// route(requests[i]) for each i in order, so element i converts
+  /// (route_at) to exactly what route(requests[i]) returns.  Throws
+  /// whatever route() throws on the first invalid request.  No router in
+  /// the library overrides it; it stays virtual so instrumenting
+  /// decorators can observe batch calls.
   [[nodiscard]] virtual RouteBatch route_many(
       std::span<const MulticastRequest> requests) const;
 
   /// Convert a route into worm specs, applying the topology's channel-copy
   /// pinning policy with the copy count the router was built with.
   [[nodiscard]] virtual std::vector<worm::WormSpec> specs(const MulticastRoute& route) const = 0;
-
-  /// Worm specs for one batch element (route_at(index) + specs()).  Named
-  /// distinctly so derived-class `specs` overrides don't hide it.
-  [[nodiscard]] std::vector<worm::WormSpec> batch_specs(const RouteBatch& batch,
-                                                        std::size_t index) const {
-    return specs(batch.route_at(index));
-  }
 
   /// Algorithm name (stable, matches algorithm_name()).
   [[nodiscard]] virtual std::string_view name() const = 0;
@@ -116,8 +104,6 @@ class MeshRouter final : public SuiteRouterBase {
   MeshRouter(const topo::Mesh2D& mesh, Algorithm algorithm, std::uint8_t copies = 1);
 
   [[nodiscard]] MulticastRoute route(const MulticastRequest& request) const override;
-  [[nodiscard]] RouteBatch route_many(
-      std::span<const MulticastRequest> requests) const override;
   [[nodiscard]] std::vector<worm::WormSpec> specs(const MulticastRoute& route) const override;
   [[nodiscard]] const topo::Topology& topology() const override { return suite_.mesh(); }
   [[nodiscard]] const MeshRoutingSuite& suite() const { return suite_; }
@@ -132,8 +118,6 @@ class CubeRouter final : public SuiteRouterBase {
   CubeRouter(const topo::Hypercube& cube, Algorithm algorithm, std::uint8_t copies = 1);
 
   [[nodiscard]] MulticastRoute route(const MulticastRequest& request) const override;
-  [[nodiscard]] RouteBatch route_many(
-      std::span<const MulticastRequest> requests) const override;
   [[nodiscard]] std::vector<worm::WormSpec> specs(const MulticastRoute& route) const override;
   [[nodiscard]] const topo::Topology& topology() const override { return suite_.cube(); }
   [[nodiscard]] const CubeRoutingSuite& suite() const { return suite_; }
@@ -150,8 +134,6 @@ class LabeledRouter final : public SuiteRouterBase {
                 Algorithm algorithm, std::uint8_t copies = 1);
 
   [[nodiscard]] MulticastRoute route(const MulticastRequest& request) const override;
-  [[nodiscard]] RouteBatch route_many(
-      std::span<const MulticastRequest> requests) const override;
   [[nodiscard]] std::vector<worm::WormSpec> specs(const MulticastRoute& route) const override;
   [[nodiscard]] const topo::Topology& topology() const override { return suite_.topology(); }
   [[nodiscard]] const LabeledRoutingSuite& suite() const { return suite_; }

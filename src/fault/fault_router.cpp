@@ -101,11 +101,6 @@ mcast::MulticastRoute FaultAwareRouter::unicast_split(
 FaultRouteResult FaultAwareRouter::route_with_faults(
     const mcast::MulticastRequest& request) const {
   sync_epoch();
-  return route_with_faults_synced(request);
-}
-
-FaultRouteResult FaultAwareRouter::route_with_faults_synced(
-    const mcast::MulticastRequest& request) const {
   const topo::Topology& t = inner_->topology();
   const mcast::MulticastRequest req = request.normalized(t.num_nodes());
 
@@ -162,32 +157,6 @@ mcast::MulticastRoute FaultAwareRouter::route(const mcast::MulticastRequest& req
                              std::to_string(request.destinations.size()) + " cut off)");
   }
   return std::move(result.route);
-}
-
-mcast::RouteBatch FaultAwareRouter::route_many(
-    std::span<const mcast::MulticastRequest> requests) const {
-  // One epoch check covers the whole batch: a concurrent fault injection
-  // lands either before it (whole batch sees the new epoch) or after it
-  // (whole batch routed against the old one), exactly as a scalar loop
-  // straddling the injection would.
-  sync_epoch();
-  if (faults_->healthy()) return inner_->route_many(requests);
-
-  mcast::RouteBatch batch;
-  batch.reserve(requests.size());
-  for (const mcast::MulticastRequest& request : requests) {
-    FaultRouteResult result = route_with_faults_synced(request);
-    if (!result.unreachable.empty()) {
-      throw std::runtime_error("multicast destination " +
-                               std::to_string(result.unreachable.front()) +
-                               " is unreachable in the degraded topology (" +
-                               std::to_string(result.unreachable.size()) + " of " +
-                               std::to_string(request.destinations.size()) +
-                               " cut off)");
-    }
-    batch.append(result.route);
-  }
-  return batch;
 }
 
 std::unique_ptr<FaultAwareRouter> make_fault_aware_router(

@@ -66,14 +66,6 @@ class FaultAwareRouter final : public mcast::Router {
   [[nodiscard]] mcast::MulticastRoute route(
       const mcast::MulticastRequest& request) const override;
 
-  /// Batch form: the fault epoch is synced once for the whole batch, then a
-  /// healthy network delegates straight to the inner router's batch path
-  /// (cache included); a degraded network routes each request through the
-  /// fault-aware fallback.  Throws std::runtime_error exactly as route()
-  /// does when a request has unreachable destinations.
-  [[nodiscard]] mcast::RouteBatch route_many(
-      std::span<const mcast::MulticastRequest> requests) const override;
-
   [[nodiscard]] std::vector<worm::WormSpec> specs(
       const mcast::MulticastRoute& route) const override {
     return inner_->specs(route);
@@ -107,11 +99,6 @@ class FaultAwareRouter final : public mcast::Router {
  private:
   /// Clear the wrapped cache if the fault epoch moved since the last call.
   void sync_epoch() const;
-
-  /// route_with_faults body after the epoch sync (route_many syncs once per
-  /// batch instead of once per request).
-  [[nodiscard]] FaultRouteResult route_with_faults_synced(
-      const mcast::MulticastRequest& request) const;
 
   /// BFS shortest-path unicast per destination over usable channels only.
   /// Every destination must be reachable (callers filter first).

@@ -74,46 +74,26 @@ void MulticastService::reliable_finalize(ReliableOp& op, topo::NodeId node,
 MulticastService::MulticastService(const mcast::Router& router,
                                    const worm::WormholeParams& params,
                                    evsim::Scheduler& sched)
-    : MulticastService(
-          router.topology(), params, sched,
-          [&router](const mcast::MulticastRequest& r) { return router.route(r); },
-          [&router](const mcast::MulticastRoute& r) { return router.specs(r); }) {
-  router_ = &router;
-}
+    : MulticastService(router, nullptr, params, sched) {}
 
 MulticastService::MulticastService(const fault::FaultAwareRouter& router,
                                    const worm::WormholeParams& params,
                                    evsim::Scheduler& sched)
-    : MulticastService(static_cast<const mcast::Router&>(router), params, sched) {
-  fault_router_ = &router;
-  // Re-wire the network onto the router's FaultState so fail/recover calls
-  // and routing decisions agree on the failure set.
-  network_ = std::make_unique<worm::Network>(router.topology(), params, sched,
-                                            router.fault_state());
-  worm::NetworkHooks hooks;
-  hooks.on_delivery = [this](std::uint64_t msg, topo::NodeId dest, double latency) {
-    const auto it = pending_.find(msg);
-    if (it != pending_.end() && it->second.on_delivery) it->second.on_delivery(dest, latency);
-  };
-  hooks.on_message_done = [this](std::uint64_t msg, double latency) {
-    const auto it = pending_.find(msg);
-    if (it == pending_.end()) return;
-    const DoneFn done = std::move(it->second.on_done);
-    pending_.erase(it);
-    if (done) done(latency);
-  };
-  network_->set_hooks(std::move(hooks));
-}
+    : MulticastService(router, &router, params, sched) {}
 
-MulticastService::MulticastService(const topo::Topology& topology,
+MulticastService::MulticastService(const mcast::Router& router,
+                                   const fault::FaultAwareRouter* fault_router,
                                    const worm::WormholeParams& params,
-                                   evsim::Scheduler& sched, RoutePolicy route,
-                                   SpecPolicy specs)
-    : topology_(&topology),
+                                   evsim::Scheduler& sched)
+    : router_(&router),
+      fault_router_(fault_router),
+      topology_(&router.topology()),
       sched_(&sched),
-      network_(std::make_unique<worm::Network>(topology, params, sched)),
-      route_(std::move(route)),
-      specs_(std::move(specs)) {
+      // A fault-aware service shares the router's FaultState, so fail/recover
+      // calls and routing decisions agree on the failure set.
+      network_(std::make_unique<worm::Network>(
+          router.topology(), params, sched,
+          fault_router != nullptr ? fault_router->fault_state() : nullptr)) {
   worm::NetworkHooks hooks;
   hooks.on_delivery = [this](std::uint64_t msg, topo::NodeId dest, double latency) {
     const auto it = pending_.find(msg);
@@ -150,7 +130,7 @@ MulticastService::Handle MulticastService::multicast(const mcast::MulticastReque
                                                      DeliveryFn on_delivery, DoneFn on_done) {
   if (metrics_.active()) metrics_.multicasts->inc();
   const mcast::MulticastRequest req = request.normalized(topology_->num_nodes());
-  const mcast::MulticastRoute route = route_(req);
+  const mcast::MulticastRoute route = router_->route(req);
   // Register the callbacks under the id inject() is about to assign BEFORE
   // injecting: when every worm dies at injection time (route crossing
   // already-failed hardware), on_message_done fires synchronously inside
@@ -159,37 +139,9 @@ MulticastService::Handle MulticastService::multicast(const mcast::MulticastReque
   if (on_delivery || on_done) {
     pending_[h] = Pending{std::move(on_delivery), std::move(on_done)};
   }
-  const Handle injected = network_->inject(specs_(route));
+  const Handle injected = network_->inject(router_->specs(route));
   (void)injected;  // == h: message ids are assigned sequentially
   return h;
-}
-
-std::vector<MulticastService::Handle> MulticastService::multicast_many(
-    std::span<const mcast::MulticastRequest> requests, DeliveryFn on_delivery,
-    DoneFn on_done) {
-  std::vector<Handle> handles;
-  handles.reserve(requests.size());
-  if (metrics_.active() && !requests.empty()) metrics_.multicasts->inc(requests.size());
-  if (router_ == nullptr) {
-    // Custom RoutePolicy wiring has no batch router; the scalar loop keeps
-    // behaviour identical.
-    for (const mcast::MulticastRequest& request : requests) {
-      const mcast::MulticastRequest req = request.normalized(topology_->num_nodes());
-      const Handle h = network_->messages_injected();
-      if (on_delivery || on_done) pending_[h] = Pending{on_delivery, on_done};
-      (void)network_->inject(specs_(route_(req)));
-      handles.push_back(h);
-    }
-    return handles;
-  }
-  const mcast::RouteBatch batch = router_->route_many(requests);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Handle h = network_->messages_injected();
-    if (on_delivery || on_done) pending_[h] = Pending{on_delivery, on_done};
-    (void)network_->inject(router_->batch_specs(batch, i));
-    handles.push_back(h);
-  }
-  return handles;
 }
 
 std::uint64_t MulticastService::multicast_reliable(const mcast::MulticastRequest& request,
@@ -272,7 +224,7 @@ void MulticastService::reliable_attempt(const std::shared_ptr<ReliableOp>& op,
   auto att = std::make_shared<AttemptTrack>();
   att->remaining.insert(routable.begin(), routable.end());
 
-  std::vector<worm::WormSpec> specs = specs_(routed.route);
+  std::vector<worm::WormSpec> specs = router_->specs(routed.route);
   if (specs.empty()) {
     // Defensive: nothing to inject means nothing can deliver; go straight
     // to the retry/terminal path instead of waiting out the timeout.

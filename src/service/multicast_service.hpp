@@ -2,11 +2,11 @@
 // item made concrete): a process-facing message-passing interface layered
 // over the routing algorithms and the wormhole simulator.
 //
-// The service owns a Network and a routing policy; user code calls
-// multicast()/unicast() and receives completion callbacks, without touching
-// worms or channels.  Collective operations (barrier, broadcast, gather)
-// are built on the same primitive, mirroring how the paper motivates
-// multicast with barrier synchronisation and data distribution.
+// The service owns a Network and routes through a mcast::Router; user code
+// calls multicast()/unicast() and receives completion callbacks, without
+// touching worms or channels.  Collective operations (barrier, broadcast,
+// gather) are built on the same primitive, mirroring how the paper
+// motivates multicast with barrier synchronisation and data distribution.
 //
 // Under failures (see fault/), multicast_reliable() degrades gracefully
 // instead of hanging: every attempt carries a timeout (expiry aborts the
@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <span>
 #include <unordered_map>
 
 #include "core/multicast.hpp"
@@ -38,13 +37,6 @@ class Counter;
 }
 
 namespace mcnet::svc {
-
-/// Routing policy: produce a multicast route for a request (bind a
-/// RoutingSuite + Algorithm, an adaptive router, ...).
-using RoutePolicy = std::function<mcast::MulticastRoute(const mcast::MulticastRequest&)>;
-
-/// Spec conversion policy (handles channel-copy pinning per topology).
-using SpecPolicy = std::function<std::vector<worm::WormSpec>(const mcast::MulticastRoute&)>;
 
 /// Retry/backoff policy for multicast_reliable().  All times are simulated
 /// seconds; the backoff sequence (jitter included) is fully determined by
@@ -113,12 +105,7 @@ struct DeliveryReport {
 class MulticastService {
  public:
   /// Wire the service onto an existing scheduler; `params` configure the
-  /// simulated hardware.  Prefer the Router overload; this one remains as
-  /// the escape hatch for fully custom policies.
-  MulticastService(const topo::Topology& topology, const worm::WormholeParams& params,
-                   evsim::Scheduler& sched, RoutePolicy route, SpecPolicy specs);
-
-  /// Route everything through a polymorphic Router (e.g. from
+  /// simulated hardware.  Everything routes through `router` (e.g. from
   /// make_router()/make_caching_router()); the router must outlive the
   /// service and its channel-copy count drives worm-spec conversion.
   MulticastService(const mcast::Router& router, const worm::WormholeParams& params,
@@ -143,16 +130,6 @@ class MulticastService {
   /// the destination set rejected); callbacks are optional.
   Handle multicast(const mcast::MulticastRequest& request, DeliveryFn on_delivery = {},
                    DoneFn on_done = {});
-
-  /// Batch send: all requests are routed in one Router::route_many call
-  /// (shared normalization scratch, grouped cache lookups, arena-backed
-  /// batch) and then injected in request order.  Handle i corresponds to
-  /// requests[i]; the optional callbacks are attached to every message
-  /// (on_delivery already receives the destination, and handles let callers
-  /// correlate on_done).  Services built with a custom RoutePolicy fall
-  /// back to the scalar loop, so behaviour is identical either way.
-  std::vector<Handle> multicast_many(std::span<const mcast::MulticastRequest> requests,
-                                     DeliveryFn on_delivery = {}, DoneFn on_done = {});
 
   /// Fault-tolerant send: per-attempt timeout, bounded retry with
   /// exponential backoff for dropped destinations, unreachable reporting
@@ -203,6 +180,11 @@ class MulticastService {
   struct ReliableOp;     // one reliable multicast (defined in the .cpp)
   struct AttemptTrack;   // one attempt of it
 
+  /// Shared body of the public constructors; `fault_router` is null for a
+  /// plain Router, else the same object as `router`.
+  MulticastService(const mcast::Router& router, const fault::FaultAwareRouter* fault_router,
+                   const worm::WormholeParams& params, evsim::Scheduler& sched);
+
   void reliable_attempt(const std::shared_ptr<ReliableOp>& op,
                         std::vector<topo::NodeId> destinations, std::uint32_t attempt);
   void reliable_attempt_done(const std::shared_ptr<ReliableOp>& op,
@@ -226,14 +208,11 @@ class MulticastService {
     [[nodiscard]] bool active() const { return multicasts != nullptr; }
   };
 
+  const mcast::Router* router_;
+  const fault::FaultAwareRouter* fault_router_;
   const topo::Topology* topology_;
   evsim::Scheduler* sched_;
   std::unique_ptr<worm::Network> network_;
-  RoutePolicy route_;
-  SpecPolicy specs_;
-  /// Set by the Router constructors; enables the multicast_many batch path.
-  const mcast::Router* router_ = nullptr;
-  const fault::FaultAwareRouter* fault_router_ = nullptr;
   std::uint64_t next_reliable_id_ = 0;
   Metrics metrics_;
 

@@ -13,17 +13,10 @@
 
 namespace mcnet::worm {
 
-namespace {
-
-/// Shared body of the two run_dynamic overloads; `make_driver` decides
-/// whether the TrafficDriver is wired to a RouteBuilder or to a Router
-/// (the latter enables TrafficConfig::route_batch prefetching).
-DynamicResult run_dynamic_impl(
-    const topo::Topology& topology, const DynamicConfig& config,
-    const std::function<TrafficDriver(evsim::Scheduler&, Network&)>& make_driver) {
+DynamicResult run_dynamic(const mcast::Router& router, const DynamicConfig& config) {
   evsim::Scheduler sched;
-  Network network(topology, config.params, sched);
-  TrafficDriver driver = make_driver(sched, network);
+  Network network(router.topology(), config.params, sched);
+  TrafficDriver driver(sched, network, config.traffic, router);
   network.set_metrics(config.metrics);
 
   evsim::BatchMeans latency(config.batch_size, /*discard=*/1);
@@ -69,25 +62,6 @@ DynamicResult run_dynamic_impl(
       !converged && result.messages_injected > 0 &&
       result.messages_completed * 10 < result.messages_injected * 9;  // >10 % backlog
   return result;
-}
-
-}  // namespace
-
-DynamicResult run_dynamic(const topo::Topology& topology, const RouteBuilder& builder,
-                          const DynamicConfig& config) {
-  return run_dynamic_impl(topology, config,
-                          [&](evsim::Scheduler& sched, Network& network) {
-                            return TrafficDriver(sched, network, config.traffic, builder);
-                          });
-}
-
-DynamicResult run_dynamic(const mcast::Router& router, const DynamicConfig& config) {
-  // Hand the router itself to the driver (not just a builder closure) so
-  // TrafficConfig::route_batch > 1 can prefetch through route_many.
-  return run_dynamic_impl(router.topology(), config,
-                          [&](evsim::Scheduler& sched, Network& network) {
-                            return TrafficDriver(sched, network, config.traffic, router);
-                          });
 }
 
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,

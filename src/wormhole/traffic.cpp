@@ -1,41 +1,14 @@
 #include "wormhole/traffic.hpp"
 
 #include <algorithm>
-#include <stdexcept>
-#include <utility>
 
 #include "core/router.hpp"
 
 namespace mcnet::worm {
 
-RouteBuilder make_route_builder(const mcast::Router& router) {
-  return [&router](topo::NodeId source, const std::vector<topo::NodeId>& destinations) {
-    return router.build(source, destinations);
-  };
-}
-
 TrafficDriver::TrafficDriver(evsim::Scheduler& sched, Network& network, TrafficConfig config,
                              const mcast::Router& router)
-    : TrafficDriver(sched, network, config, make_route_builder(router)) {
-  router_ = &router;
-  if (batching()) {
-    const std::uint32_t n = network.topology().num_nodes();
-    queues_.resize(n);
-    dest_rngs_.reserve(n);
-    // A distinct stream family for the prefetched destination draws keeps
-    // batch-mode runs deterministic without perturbing the gap stream.
-    for (std::uint32_t i = 0; i < n; ++i) {
-      dest_rngs_.emplace_back(evsim::derive_seed(config.seed ^ 0x6d636173745f6271ULL, i));
-    }
-  }
-}
-
-TrafficDriver::TrafficDriver(evsim::Scheduler& sched, Network& network, TrafficConfig config,
-                             RouteBuilder builder)
-    : sched_(&sched), network_(&network), config_(config), builder_(std::move(builder)) {
-  if (config.route_batch == 0) {
-    throw std::invalid_argument("TrafficConfig: route_batch must be >= 1 (got 0)");
-  }
+    : sched_(&sched), network_(&network), config_(config), router_(&router) {
   const std::uint32_t n = network.topology().num_nodes();
   rngs_.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -55,47 +28,17 @@ void TrafficDriver::start() {
   }
 }
 
-void TrafficDriver::refill(topo::NodeId node) {
-  SpecQueue& queue = queues_[node];
-  queue.specs.clear();
-  queue.next = 0;
-  evsim::Rng& rng = dest_rngs_[node];
-  const std::uint32_t num_nodes = network_->topology().num_nodes();
-  const std::uint32_t max_k = num_nodes - 1;
-  std::vector<mcast::MulticastRequest> requests;
-  requests.reserve(config_.route_batch);
-  for (std::uint32_t b = 0; b < config_.route_batch; ++b) {
-    std::uint32_t k = config_.fixed_destinations
-                          ? config_.avg_destinations
-                          : rng.uniform_int(1, 2 * config_.avg_destinations - 1);
-    k = std::min(k, max_k);
-    requests.push_back(
-        mcast::MulticastRequest{node, rng.sample_destinations(num_nodes, node, k)});
-  }
-  const mcast::RouteBatch batch = router_->route_many(requests);
-  queue.specs.reserve(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    queue.specs.push_back(router_->batch_specs(batch, i));
-  }
-}
-
 void TrafficDriver::arrival(topo::NodeId node) {
   if (stopped_) return;
   evsim::Rng& rng = rngs_[node];
-  if (batching()) {
-    SpecQueue& queue = queues_[node];
-    if (queue.next == queue.specs.size()) refill(node);
-    network_->inject(std::move(queue.specs[queue.next++]));
-  } else {
-    const std::uint32_t max_k = network_->topology().num_nodes() - 1;
-    std::uint32_t k = config_.fixed_destinations
-                          ? config_.avg_destinations
-                          : rng.uniform_int(1, 2 * config_.avg_destinations - 1);
-    k = std::min(k, max_k);
-    const std::vector<topo::NodeId> dests =
-        rng.sample_destinations(network_->topology().num_nodes(), node, k);
-    network_->inject(builder_(node, dests));
-  }
+  const std::uint32_t max_k = network_->topology().num_nodes() - 1;
+  std::uint32_t k = config_.fixed_destinations
+                        ? config_.avg_destinations
+                        : rng.uniform_int(1, 2 * config_.avg_destinations - 1);
+  k = std::min(k, max_k);
+  const std::vector<topo::NodeId> dests =
+      rng.sample_destinations(network_->topology().num_nodes(), node, k);
+  network_->inject(router_->build(node, dests));
   sched_->schedule_in(next_gap(rng), [this, node] { arrival(node); });
 }
 

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "evsim/random.hpp"
@@ -30,33 +29,11 @@ struct TrafficConfig {
   /// paper's "uniformly random" interval), exponential when set.
   bool exponential_interarrival = false;
   std::uint64_t seed = 1;
-  /// Requests routed per Router::route_many call.  1 (the default) is the
-  /// exact legacy behaviour: one route per arrival, destination sets drawn
-  /// from the same per-node stream as the interarrival gaps.  Values > 1
-  /// prefetch that many destination draws per node from a dedicated
-  /// destination stream and route them in one batch (amortised cache
-  /// lookups and routing scratch); arrivals and injections are unchanged,
-  /// but the destination randomness moves to its own stream, so results
-  /// are deterministic yet not draw-for-draw identical to route_batch=1.
-  /// Ignored by the RouteBuilder constructor (no batch API to call).
-  std::uint32_t route_batch = 1;
 };
-
-/// Builds the worm specs for one multicast (source + destinations).
-/// Compatibility shim: new code routes through mcast::Router; a builder is
-/// what remains for workloads that need per-message request rewriting.
-using RouteBuilder = std::function<std::vector<WormSpec>(
-    topo::NodeId source, const std::vector<topo::NodeId>& destinations)>;
-
-/// Adapt a Router into a RouteBuilder (the router must outlive it).
-[[nodiscard]] RouteBuilder make_route_builder(const mcast::Router& router);
 
 /// Drives one generator per node on the shared scheduler.
 class TrafficDriver {
  public:
-  TrafficDriver(evsim::Scheduler& sched, Network& network, TrafficConfig config,
-                RouteBuilder builder);
-
   /// Route every generated multicast through `router` (which must outlive
   /// the driver).
   TrafficDriver(evsim::Scheduler& sched, Network& network, TrafficConfig config,
@@ -71,27 +48,12 @@ class TrafficDriver {
  private:
   void arrival(topo::NodeId node);
   [[nodiscard]] double next_gap(evsim::Rng& rng);
-  [[nodiscard]] bool batching() const {
-    return router_ != nullptr && config_.route_batch > 1;
-  }
-  /// Draw route_batch destination sets for `node`, route them in one
-  /// route_many call, and refill the node's prefetch queue of worm specs.
-  void refill(topo::NodeId node);
-
-  /// Per-node prefetch queue of routed specs (batch mode only).
-  struct SpecQueue {
-    std::vector<std::vector<WormSpec>> specs;
-    std::size_t next = 0;
-  };
 
   evsim::Scheduler* sched_;
   Network* network_;
   TrafficConfig config_;
-  RouteBuilder builder_;
-  const mcast::Router* router_ = nullptr;  // set by the Router ctor
-  std::vector<evsim::Rng> rngs_;       // one stream per node
-  std::vector<evsim::Rng> dest_rngs_;  // batch-mode destination streams
-  std::vector<SpecQueue> queues_;
+  const mcast::Router* router_;
+  std::vector<evsim::Rng> rngs_;  // one stream per node
   bool stopped_ = false;
 };
 

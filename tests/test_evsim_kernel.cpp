@@ -419,21 +419,19 @@ TEST(KernelDifferential, RunUntilAgreesWithLegacyHeap) {
   constexpr std::uint64_t kBudget = 20000;
   constexpr double kCut = 1.5e-3;
 
+  // The budgets must outlive run_until: every spawned event decrements its
+  // kernel's budget through a reference.
   Scheduler cal;
-  {
-    std::uint64_t budget = kBudget;
-    for (std::uint64_t seed = 100; seed < 108; ++seed) {
-      diff::spawn(cal, calendar_trace, budget, diff::splitmix(seed), 0.0);
-    }
+  std::uint64_t cal_budget = kBudget;
+  for (std::uint64_t seed = 100; seed < 108; ++seed) {
+    diff::spawn(cal, calendar_trace, cal_budget, diff::splitmix(seed), 0.0);
   }
   const std::uint64_t cal_n = cal.run_until(kCut);
 
   LegacyHeapScheduler heap;
-  {
-    std::uint64_t budget = kBudget;
-    for (std::uint64_t seed = 100; seed < 108; ++seed) {
-      diff::spawn(heap, heap_trace, budget, diff::splitmix(seed), 0.0);
-    }
+  std::uint64_t heap_budget = kBudget;
+  for (std::uint64_t seed = 100; seed < 108; ++seed) {
+    diff::spawn(heap, heap_trace, heap_budget, diff::splitmix(seed), 0.0);
   }
   const std::uint64_t heap_n = heap.run_until(kCut);
 

@@ -6,35 +6,23 @@
 #include <set>
 #include <stdexcept>
 
-#include "core/route_factory.hpp"
+#include "core/router.hpp"
 #include "wormhole/experiment.hpp"
 
 namespace {
 
 using namespace mcnet;
 using mcast::Algorithm;
-using mcast::MeshRoutingSuite;
+using mcast::make_router;
 using topo::Mesh2D;
-using topo::NodeId;
 using worm::DynamicConfig;
 using worm::DynamicResult;
-using worm::RouteBuilder;
-
-RouteBuilder make_builder(const MeshRoutingSuite& suite, Algorithm algo,
-                          std::uint8_t copies) {
-  return [&suite, algo, copies](NodeId src, const std::vector<NodeId>& dests) {
-    return worm::make_worm_specs(suite.mesh(),
-                                 suite.route(algo, mcast::MulticastRequest{src, dests}),
-                                 copies);
-  };
-}
 
 TEST(DynamicExperiment, LowLoadLatencyNearContentionFreeMinimum) {
   // At very light load the mean per-destination latency must sit close to
   // the contention-free value (distance + L - 1 flit times) and the run
   // must converge.
   const Mesh2D mesh(8, 8);
-  const MeshRoutingSuite suite(mesh);
   DynamicConfig cfg;
   cfg.params = {.flit_time = 50e-9, .message_flits = 128, .channel_copies = 1};
   cfg.traffic = {.mean_interarrival_s = 10e-3,  // essentially no contention
@@ -47,7 +35,7 @@ TEST(DynamicExperiment, LowLoadLatencyNearContentionFreeMinimum) {
   cfg.max_sim_time_s = 10.0;
   cfg.batch_size = 300;
   const DynamicResult r =
-      run_dynamic(mesh, make_builder(suite, Algorithm::kDualPath, 1), cfg);
+      run_dynamic(*make_router(mesh, Algorithm::kDualPath, 1), cfg);
   EXPECT_TRUE(r.converged);
   EXPECT_FALSE(r.saturated);
   EXPECT_GT(r.deliveries, 1000u);
@@ -59,7 +47,6 @@ TEST(DynamicExperiment, LowLoadLatencyNearContentionFreeMinimum) {
 
 TEST(DynamicExperiment, LatencyIncreasesWithLoad) {
   const Mesh2D mesh(8, 8);
-  const MeshRoutingSuite suite(mesh);
   double prev = 0.0;
   for (const double interarrival : {5e-3, 400e-6, 150e-6}) {
     DynamicConfig cfg;
@@ -73,7 +60,7 @@ TEST(DynamicExperiment, LatencyIncreasesWithLoad) {
     cfg.max_messages = 3000;
     cfg.max_sim_time_s = 5.0;
     const DynamicResult r =
-        run_dynamic(mesh, make_builder(suite, Algorithm::kDualPath, 1), cfg);
+        run_dynamic(*make_router(mesh, Algorithm::kDualPath, 1), cfg);
     EXPECT_GT(r.mean_latency_us, prev) << "interarrival " << interarrival;
     prev = r.mean_latency_us;
   }
@@ -81,7 +68,6 @@ TEST(DynamicExperiment, LatencyIncreasesWithLoad) {
 
 TEST(DynamicExperiment, DeterministicAcrossRuns) {
   const Mesh2D mesh(8, 8);
-  const MeshRoutingSuite suite(mesh);
   DynamicConfig cfg;
   cfg.params = {.flit_time = 50e-9, .message_flits = 128, .channel_copies = 1};
   cfg.traffic = {.mean_interarrival_s = 500e-6,
@@ -93,9 +79,9 @@ TEST(DynamicExperiment, DeterministicAcrossRuns) {
   cfg.max_messages = 600;
   cfg.max_sim_time_s = 2.0;
   const DynamicResult a =
-      run_dynamic(mesh, make_builder(suite, Algorithm::kMultiPath, 1), cfg);
+      run_dynamic(*make_router(mesh, Algorithm::kMultiPath, 1), cfg);
   const DynamicResult b =
-      run_dynamic(mesh, make_builder(suite, Algorithm::kMultiPath, 1), cfg);
+      run_dynamic(*make_router(mesh, Algorithm::kMultiPath, 1), cfg);
   EXPECT_DOUBLE_EQ(a.mean_latency_us, b.mean_latency_us);
   EXPECT_EQ(a.deliveries, b.deliveries);
   EXPECT_EQ(a.messages_completed, b.messages_completed);
@@ -105,7 +91,6 @@ TEST(DynamicExperiment, TreeOnDoubleChannelsCompletes) {
   // The double-channel X-first tree is deadlock-free: a dynamic run must
   // make progress and complete messages (Assertion 1 under load).
   const Mesh2D mesh(8, 8);
-  const MeshRoutingSuite suite(mesh);
   DynamicConfig cfg;
   cfg.params = {.flit_time = 50e-9, .message_flits = 128, .channel_copies = 2};
   cfg.traffic = {.mean_interarrival_s = 600e-6,
@@ -117,7 +102,7 @@ TEST(DynamicExperiment, TreeOnDoubleChannelsCompletes) {
   cfg.max_messages = 1500;
   cfg.max_sim_time_s = 2.0;
   const DynamicResult r =
-      run_dynamic(mesh, make_builder(suite, Algorithm::kDCXFirstTree, 2), cfg);
+      run_dynamic(*make_router(mesh, Algorithm::kDCXFirstTree, 2), cfg);
   EXPECT_GT(r.messages_completed, 300u);
   EXPECT_GT(r.mean_latency_us, 0.0);
 }
@@ -170,7 +155,6 @@ TEST(ParallelFor, RethrowsWorkerExceptionInsteadOfTerminating) {
 
 TEST(DynamicExperiment, TinyRunReportsInvalidConfidenceInterval) {
   const Mesh2D mesh(4, 4);
-  const MeshRoutingSuite suite(mesh);
   DynamicConfig cfg;
   cfg.params = {.flit_time = 50e-9, .message_flits = 16, .channel_copies = 1};
   cfg.traffic = {.mean_interarrival_s = 200e-6,
@@ -184,7 +168,7 @@ TEST(DynamicExperiment, TinyRunReportsInvalidConfidenceInterval) {
   cfg.max_messages = 4;
   cfg.max_sim_time_s = 0.5;
   cfg.batch_size = 1000;
-  const DynamicResult r = run_dynamic(mesh, make_builder(suite, Algorithm::kDualPath, 1), cfg);
+  const DynamicResult r = run_dynamic(*make_router(mesh, Algorithm::kDualPath, 1), cfg);
   EXPECT_FALSE(r.ci_valid);
   EXPECT_TRUE(std::isnan(r.ci_half_us));
   EXPECT_GT(r.deliveries, 0u);
@@ -192,7 +176,6 @@ TEST(DynamicExperiment, TinyRunReportsInvalidConfidenceInterval) {
 
 TEST(DynamicExperiment, LongRunReportsValidConfidenceInterval) {
   const Mesh2D mesh(4, 4);
-  const MeshRoutingSuite suite(mesh);
   DynamicConfig cfg;
   cfg.params = {.flit_time = 50e-9, .message_flits = 16, .channel_copies = 1};
   cfg.traffic = {.mean_interarrival_s = 200e-6,
@@ -204,7 +187,7 @@ TEST(DynamicExperiment, LongRunReportsValidConfidenceInterval) {
   cfg.max_messages = 800;
   cfg.max_sim_time_s = 1.0;
   cfg.batch_size = 20;
-  const DynamicResult r = run_dynamic(mesh, make_builder(suite, Algorithm::kDualPath, 1), cfg);
+  const DynamicResult r = run_dynamic(*make_router(mesh, Algorithm::kDualPath, 1), cfg);
   EXPECT_TRUE(r.ci_valid);
   EXPECT_TRUE(std::isfinite(r.ci_half_us));
   EXPECT_GE(r.ci_half_us, 0.0);

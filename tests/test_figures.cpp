@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/route_factory.hpp"
+#include "core/router.hpp"
 #include "evsim/random.hpp"
 #include "wormhole/experiment.hpp"
 
@@ -30,9 +31,8 @@ double mean_additional(const topo::Topology& t,
   return total / runs;
 }
 
-worm::DynamicResult run_point(const MeshRoutingSuite& suite, Algorithm algo,
-                              std::uint8_t copies, double interarrival_us,
-                              std::uint32_t dests, bool fixed_dests) {
+worm::DynamicResult run_point(const Mesh2D& mesh, Algorithm algo, std::uint8_t copies,
+                              double interarrival_us, std::uint32_t dests, bool fixed_dests) {
   worm::DynamicConfig cfg;
   cfg.params = {.flit_time = 50e-9, .message_flits = 128, .channel_copies = copies};
   cfg.traffic = {.mean_interarrival_s = interarrival_us * 1e-6,
@@ -44,12 +44,7 @@ worm::DynamicResult run_point(const MeshRoutingSuite& suite, Algorithm algo,
   cfg.max_messages = 1500;
   cfg.max_sim_time_s = 0.05;
   cfg.batch_size = 200;
-  const worm::RouteBuilder builder = [&suite, algo, copies](
-                                         NodeId src, const std::vector<NodeId>& d) {
-    return worm::make_worm_specs(suite.mesh(), suite.route(algo, MulticastRequest{src, d}),
-                                 copies);
-  };
-  return run_dynamic(suite.mesh(), builder, cfg);
+  return run_dynamic(*mcast::make_router(mesh, algo, copies), cfg);
 }
 
 // Fig. 7.1 shape: sorted MP beats multi-unicast for moderate k and beats
@@ -105,9 +100,8 @@ TEST(FigureShapes, Fig77PathTrafficOrdering) {
 // double-channel mesh dwarfs the path algorithms'.
 TEST(FigureShapes, Fig79TreeDegradesWithDestinations) {
   const Mesh2D mesh(8, 8);
-  const MeshRoutingSuite suite(mesh);
-  const auto tree = run_point(suite, Algorithm::kDCXFirstTree, 2, 300, 30, true);
-  const auto dual = run_point(suite, Algorithm::kDualPath, 2, 300, 30, true);
+  const auto tree = run_point(mesh, Algorithm::kDCXFirstTree, 2, 300, 30, true);
+  const auto dual = run_point(mesh, Algorithm::kDualPath, 2, 300, 30, true);
   EXPECT_GT(tree.mean_latency_us, 3.0 * dual.mean_latency_us);
 }
 
@@ -115,9 +109,8 @@ TEST(FigureShapes, Fig79TreeDegradesWithDestinations) {
 // hot spots make it worse than dual-path.
 TEST(FigureShapes, Fig711MultiPathHotSpots) {
   const Mesh2D mesh(8, 8);
-  const MeshRoutingSuite suite(mesh);
-  const auto multi = run_point(suite, Algorithm::kMultiPath, 1, 400, 30, true);
-  const auto dual = run_point(suite, Algorithm::kDualPath, 1, 400, 30, true);
+  const auto multi = run_point(mesh, Algorithm::kMultiPath, 1, 400, 30, true);
+  const auto dual = run_point(mesh, Algorithm::kDualPath, 1, 400, 30, true);
   EXPECT_GT(multi.mean_latency_us, 1.5 * dual.mean_latency_us);
 }
 
@@ -125,9 +118,8 @@ TEST(FigureShapes, Fig711MultiPathHotSpots) {
 // already far slower.
 TEST(FigureShapes, Fig78TreeSaturatesFirst) {
   const Mesh2D mesh(8, 8);
-  const MeshRoutingSuite suite(mesh);
-  const auto tree = run_point(suite, Algorithm::kDCXFirstTree, 2, 180, 10, false);
-  const auto multi = run_point(suite, Algorithm::kMultiPath, 2, 180, 10, false);
+  const auto tree = run_point(mesh, Algorithm::kDCXFirstTree, 2, 180, 10, false);
+  const auto multi = run_point(mesh, Algorithm::kMultiPath, 2, 180, 10, false);
   EXPECT_GT(tree.mean_latency_us, 2.0 * multi.mean_latency_us);
   EXPECT_LT(multi.mean_latency_us, 40.0);
 }

@@ -1,38 +1,27 @@
 // The multicast service layer and the generic labeled routing suite.
 #include <gtest/gtest.h>
 
-#include <set>
-
-#include "core/route_cache.hpp"
-#include "core/route_factory.hpp"
+#include "core/router.hpp"
 #include "evsim/random.hpp"
 #include "evsim/scheduler.hpp"
 #include "service/multicast_service.hpp"
 #include "topology/hamiltonian.hpp"
-#include "wormhole/worm.hpp"
 
 namespace {
 
 using namespace mcnet;
 using mcast::Algorithm;
 
-svc::MulticastService make_service(const mcast::MeshRoutingSuite& suite,
-                                   evsim::Scheduler& sched, Algorithm algo) {
-  const worm::WormholeParams params{.flit_time = 50e-9, .message_flits = 32,
-                                    .channel_copies = 1};
+svc::MulticastService make_service(const mcast::Router& router, evsim::Scheduler& sched) {
   return svc::MulticastService(
-      suite.mesh(), params, sched,
-      [&suite, algo](const mcast::MulticastRequest& r) { return suite.route(algo, r); },
-      [&suite](const mcast::MulticastRoute& r) {
-        return worm::make_worm_specs(suite.mesh(), r, 1);
-      });
+      router, {.flit_time = 50e-9, .message_flits = 32, .channel_copies = 1}, sched);
 }
 
 TEST(MulticastService, DeliversAndCompletes) {
   const topo::Mesh2D mesh(4, 4);
-  const mcast::MeshRoutingSuite suite(mesh);
+  const auto router = mcast::make_router(mesh, Algorithm::kDualPath);
   evsim::Scheduler sched;
-  svc::MulticastService service = make_service(suite, sched, Algorithm::kDualPath);
+  svc::MulticastService service = make_service(*router, sched);
 
   std::vector<topo::NodeId> delivered;
   double done_latency = -1.0;
@@ -49,9 +38,9 @@ TEST(MulticastService, DeliversAndCompletes) {
 TEST(MulticastService, CallbackCanSendAgain) {
   // Re-entrancy: a completion callback issues the next message.
   const topo::Mesh2D mesh(4, 4);
-  const mcast::MeshRoutingSuite suite(mesh);
+  const auto router = mcast::make_router(mesh, Algorithm::kMultiPath);
   evsim::Scheduler sched;
-  svc::MulticastService service = make_service(suite, sched, Algorithm::kMultiPath);
+  svc::MulticastService service = make_service(*router, sched);
 
   int rounds = 0;
   std::function<void(double)> chain = [&](double) {
@@ -62,51 +51,11 @@ TEST(MulticastService, CallbackCanSendAgain) {
   EXPECT_EQ(rounds, 5);
 }
 
-TEST(MulticastService, MulticastManyMatchesScalarSends) {
-  // The batch entry point must be observationally identical to issuing the
-  // same requests through multicast() one by one before running.
-  const topo::Mesh2D mesh(4, 4);
-  const worm::WormholeParams params{.flit_time = 50e-9, .message_flits = 32,
-                                    .channel_copies = 1};
-  const auto router = mcast::make_caching_router(mesh, Algorithm::kDualPath);
-  const std::vector<mcast::MulticastRequest> requests = {
-      {0, {5, 10, 15}}, {3, {12, 7}}, {0, {5, 10, 15}}};
-
-  std::multiset<topo::NodeId> scalar_delivered;
-  std::size_t scalar_done = 0;
-  {
-    evsim::Scheduler sched;
-    svc::MulticastService service(*router, params, sched);
-    for (const auto& req : requests) {
-      service.multicast(
-          req, [&](topo::NodeId d, double) { scalar_delivered.insert(d); },
-          [&](double) { ++scalar_done; });
-    }
-    sched.run();
-  }
-
-  std::multiset<topo::NodeId> batch_delivered;
-  std::size_t batch_done = 0;
-  {
-    evsim::Scheduler sched;
-    svc::MulticastService service(*router, params, sched);
-    const std::vector<svc::MulticastService::Handle> handles = service.multicast_many(
-        requests, [&](topo::NodeId d, double) { batch_delivered.insert(d); },
-        [&](double) { ++batch_done; });
-    EXPECT_EQ(handles.size(), requests.size());
-    sched.run();
-  }
-
-  EXPECT_EQ(batch_done, scalar_done);
-  EXPECT_EQ(batch_delivered, scalar_delivered);
-  EXPECT_EQ(batch_done, requests.size());
-}
-
 TEST(MulticastService, BarrierReleasesEveryoneOnce) {
   const topo::Mesh2D mesh(4, 4);
-  const mcast::MeshRoutingSuite suite(mesh);
+  const auto router = mcast::make_router(mesh, Algorithm::kDualPath);
   evsim::Scheduler sched;
-  svc::MulticastService service = make_service(suite, sched, Algorithm::kDualPath);
+  svc::MulticastService service = make_service(*router, sched);
 
   double release_time = -1.0;
   service.barrier(mesh.node(1, 1), [&](double t) { release_time = t; });
@@ -119,9 +68,9 @@ TEST(MulticastService, BarrierReleasesEveryoneOnce) {
 
 TEST(MulticastService, GatherCountsAllArrivals) {
   const topo::Mesh2D mesh(4, 4);
-  const mcast::MeshRoutingSuite suite(mesh);
+  const auto router = mcast::make_router(mesh, Algorithm::kDualPath);
   evsim::Scheduler sched;
-  svc::MulticastService service = make_service(suite, sched, Algorithm::kDualPath);
+  svc::MulticastService service = make_service(*router, sched);
   double finish = -1.0;
   service.gather(0, [&](double t) { finish = t; });
   sched.run();

@@ -61,8 +61,6 @@ int main(int argc, char** argv) {
     const auto flits = static_cast<std::uint32_t>(
         args.get_int("flits", 128, "message length in flits (dynamic)"));
     const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 2026, "random seed"));
-    const auto batch = static_cast<std::uint32_t>(args.get_int(
-        "batch", 1, "requests per route_many call (static: chunk size; dynamic: prefetch)"));
     const bool csv = args.get_flag("csv", "machine-readable output");
     const std::string trace_path =
         args.get("trace", "", "write a Chrome/Perfetto trace of the dynamic run (dynamic)");
@@ -79,29 +77,16 @@ int main(int argc, char** argv) {
     const std::uint32_t n = inst.topology->num_nodes();
     if (dests >= n) throw std::invalid_argument("dests must be < number of nodes");
 
-    if (batch == 0) throw std::invalid_argument("batch must be >= 1");
-
     if (static_mode) {
       evsim::Rng rng(seed);
       double traffic = 0.0, additional = 0.0, max_hops = 0.0;
-      // Requests are drawn identically regardless of --batch; the batch
-      // path only changes how many reach the router per route_many call,
-      // so the reported means are bit-identical to the scalar loop.
-      std::vector<mcast::MulticastRequest> chunk;
-      chunk.reserve(batch);
-      for (std::uint32_t r = 0; r < runs;) {
-        chunk.clear();
-        for (std::uint32_t b = 0; b < batch && r < runs; ++b, ++r) {
-          const topo::NodeId src = rng.uniform_int(0, n - 1);
-          chunk.push_back(mcast::MulticastRequest{src, rng.sample_destinations(n, src, dests)});
-        }
-        const mcast::RouteBatch routes = inst.router->route_many(chunk);
-        for (std::size_t i = 0; i < routes.size(); ++i) {
-          const mcast::MulticastRoute route = routes.route_at(i);
-          traffic += static_cast<double>(route.traffic());
-          additional += static_cast<double>(route.additional_traffic(dests));
-          max_hops += route.max_delivery_hops();
-        }
+      for (std::uint32_t r = 0; r < runs; ++r) {
+        const topo::NodeId src = rng.uniform_int(0, n - 1);
+        const mcast::MulticastRoute route = inst.router->route(
+            mcast::MulticastRequest{src, rng.sample_destinations(n, src, dests)});
+        traffic += static_cast<double>(route.traffic());
+        additional += static_cast<double>(route.additional_traffic(dests));
+        max_hops += route.max_delivery_hops();
       }
       if (csv) {
         std::printf("topology,algorithm,dests,runs,traffic,additional,max_hops\n");
@@ -124,8 +109,7 @@ int main(int argc, char** argv) {
                    .avg_destinations = dests,
                    .fixed_destinations = false,
                    .exponential_interarrival = false,
-                   .seed = seed,
-                   .route_batch = batch};
+                   .seed = seed};
     cfg.target_messages = messages;
     cfg.max_messages = messages * 4;
     cfg.max_sim_time_s = 2.0;
