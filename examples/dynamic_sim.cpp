@@ -1,60 +1,15 @@
-// A full dynamic simulation in the style of Section 7.2, plus a small
-// demonstration of the CSIM-style coroutine substrate (processes,
-// facilities, mailboxes) the simulator is built on.
+// A full dynamic simulation in the style of Section 7.2: open-loop
+// multicast traffic on an 8x8 mesh, one latency estimate per algorithm.
 //
 //   $ ./examples/dynamic_sim
 #include <cstdio>
 
 #include "core/route_cache.hpp"
-#include "evsim/facility.hpp"
-#include "evsim/process.hpp"
-#include "evsim/scheduler.hpp"
 #include "wormhole/experiment.hpp"
 
-namespace {
-
-using namespace mcnet;
-
-// --- CSIM-style substrate demo ----------------------------------------------
-// Three "processors" contend for one shared bus facility and report via a
-// mailbox -- the programming model of the paper's CSIM simulations.
-evsim::Process processor(evsim::Scheduler& sched, evsim::Facility& bus,
-                         evsim::Mailbox<int>& done, int id, double think_us) {
-  for (int round = 0; round < 3; ++round) {
-    co_await evsim::delay(sched, think_us * 1e-6);
-    co_await bus.acquire();
-    co_await evsim::delay(sched, 5e-6);  // 5 us bus transaction
-    bus.release();
-  }
-  done.send(id);
-}
-
-evsim::Process collector(evsim::Scheduler& sched, evsim::Mailbox<int>& done, int n) {
-  for (int i = 0; i < n; ++i) {
-    const int id = co_await done.receive();
-    std::printf("  processor %d finished at t = %.1f us\n", id, sched.now() * 1e6);
-  }
-}
-
-void csim_demo() {
-  std::printf("CSIM-style substrate demo (3 processes, 1 bus facility):\n");
-  evsim::Scheduler sched;
-  evsim::Facility bus(sched, 1);
-  evsim::Mailbox<int> done(sched);
-  collector(sched, done, 3);
-  processor(sched, bus, done, 0, 2.0);
-  processor(sched, bus, done, 1, 3.0);
-  processor(sched, bus, done, 2, 4.0);
-  sched.run();
-  std::printf("\n");
-}
-
-}  // namespace
-
 int main() {
-  csim_demo();
+  using namespace mcnet;
 
-  // --- Dynamic wormhole experiment -----------------------------------------
   // The paper's reference point: 8x8 mesh, 128-byte messages, 20 Mbyte/s
   // channels, ~10 destinations, 300 us mean interarrival per node.
   const topo::Mesh2D mesh(8, 8);

@@ -1,6 +1,7 @@
 #include "analysis/instances.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace mcnet::analysis {
 
@@ -24,7 +25,7 @@ std::size_t binomial(std::size_t n, std::size_t s) {
 
 std::size_t count_instances(std::uint32_t num_nodes, std::uint32_t max_set_size) {
   std::size_t total = 0;
-  for (std::uint32_t s = 1; s <= max_set_size; ++s) {
+  for (std::uint32_t s = 1; s <= max_set_size && s < num_nodes; ++s) {
     total += static_cast<std::size_t>(num_nodes) * binomial(num_nodes - 1, s);
   }
   return total;
@@ -33,6 +34,10 @@ std::size_t count_instances(std::uint32_t num_nodes, std::uint32_t max_set_size)
 std::vector<mcast::MulticastRequest> enumerate_instances(const topo::Topology& topology,
                                                          std::uint32_t max_set_size,
                                                          std::size_t max_instances) {
+  // An empty enumeration would let every analysis certify vacuously.
+  if (max_set_size == 0) {
+    throw std::invalid_argument("AnalysisConfig.max_set_size must be >= 1 (got 0)");
+  }
   const std::uint32_t n = topology.num_nodes();
   const std::size_t total = count_instances(n, max_set_size);
   const std::size_t stride =

@@ -22,7 +22,9 @@ namespace mcnet::analysis {
 /// nodes in lexicographic order).  When the total exceeds `max_instances`
 /// the sequence is stride-sampled (every ceil(total/max)-th instance) so
 /// coverage stays spread over sources and set shapes instead of being
-/// truncated to the low node ids.
+/// truncated to the low node ids.  Throws std::invalid_argument when
+/// max_set_size is 0: no instance would be analyzed, so every verdict built
+/// on the enumeration would hold vacuously.
 [[nodiscard]] std::vector<mcast::MulticastRequest> enumerate_instances(
     const topo::Topology& topology, std::uint32_t max_set_size,
     std::size_t max_instances = static_cast<std::size_t>(-1));

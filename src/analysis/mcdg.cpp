@@ -402,39 +402,9 @@ DeadlockWitness make_witness(const Scenario& s, std::vector<MulticastRequest> in
   return witness;
 }
 
-DeadlockWitness shrink_witness(const Scenario& s, std::vector<MulticastRequest> working,
+// Witness over an already shrunk instance set: re-derive its cycle.
+DeadlockWitness shrunk_witness(const Scenario& s, std::vector<MulticastRequest> working,
                                bool require_realizable) {
-  // Phase 1: drop whole instances while the reduced set still deadlocks.
-  for (std::size_t i = 0; i < working.size() && working.size() > 2;) {
-    std::vector<MulticastRequest> trial = working;
-    trial.erase(trial.begin() + static_cast<std::ptrdiff_t>(i));
-    if (subset_deadlocks(s, trial, require_realizable)) {
-      working = std::move(trial);
-    } else {
-      ++i;
-    }
-  }
-  // Phase 2: delta-debug destination sets, one destination at a time, to a
-  // fixpoint.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (std::size_t i = 0; i < working.size(); ++i) {
-      for (std::size_t d = 0; d < working[i].destinations.size();) {
-        if (working[i].destinations.size() <= 1) break;
-        std::vector<MulticastRequest> trial = working;
-        trial[i].destinations.erase(trial[i].destinations.begin() +
-                                    static_cast<std::ptrdiff_t>(d));
-        if (subset_deadlocks(s, trial, require_realizable)) {
-          working = std::move(trial);
-          changed = true;
-        } else {
-          ++d;
-        }
-      }
-    }
-  }
-
   const auto cand = find_deadlock(s, working, build_cdg_over(s, working), require_realizable);
   if (!cand) {
     // Cannot happen (shrinking only keeps deadlocking subsets); stay safe.
@@ -451,6 +421,56 @@ std::optional<TaggedCycle> find_multi_instance_cycle(const ChannelGraph& graph) 
   const auto found = search_multi_instance_cycle(graph);
   if (!found) return std::nullopt;
   return TaggedCycle{found->vcs, assign_edges(*found)};
+}
+
+std::vector<MulticastRequest> blamed_instances(const std::vector<MulticastRequest>& instances,
+                                               std::vector<EdgeTag>& edge_instance) {
+  std::vector<EdgeTag> distinct = edge_instance;
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()), distinct.end());
+  std::vector<MulticastRequest> seed;
+  seed.reserve(distinct.size());
+  for (const EdgeTag t : distinct) seed.push_back(instances[t]);
+  for (EdgeTag& t : edge_instance) {
+    const auto it = std::lower_bound(distinct.begin(), distinct.end(), t);
+    t = static_cast<EdgeTag>(it - distinct.begin());
+  }
+  return seed;
+}
+
+std::vector<MulticastRequest> shrink_instances(std::vector<MulticastRequest> working,
+                                               const DeadlockOracle& deadlocks) {
+  // Phase 1: drop whole instances while the reduced set still deadlocks.
+  for (std::size_t i = 0; i < working.size() && working.size() > 2;) {
+    std::vector<MulticastRequest> trial = working;
+    trial.erase(trial.begin() + static_cast<std::ptrdiff_t>(i));
+    if (deadlocks(trial)) {
+      working = std::move(trial);
+    } else {
+      ++i;
+    }
+  }
+  // Phase 2: delta-debug destination sets, one destination at a time, to a
+  // fixpoint.
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (std::size_t i = 0; i < working.size(); ++i) {
+      for (std::size_t d = 0; d < working[i].destinations.size();) {
+        if (working[i].destinations.size() <= 1) break;
+        std::vector<MulticastRequest> trial = working;
+        trial[i].destinations.erase(trial[i].destinations.begin() +
+                                    static_cast<std::ptrdiff_t>(d));
+        if (deadlocks(trial)) {
+          working = std::move(trial);
+          changed = true;
+        } else {
+          ++d;
+        }
+      }
+    }
+  }
+  return working;
 }
 
 bool subset_deadlocks(const Scenario& scenario, const std::vector<MulticastRequest>& instances,
@@ -488,22 +508,15 @@ DeadlockReport analyze_deadlock(const Scenario& scenario, const AnalysisConfig& 
   const auto cand = find_deadlock(scenario, instances, g, /*require_realizable=*/false);
   if (!cand) return report;
 
-  // Seed the witness with the instances the assignment blames, remap the
-  // assignment onto the seed, then shrink.
-  std::vector<EdgeTag> distinct = cand->assignment;
-  std::sort(distinct.begin(), distinct.end());
-  distinct.erase(std::unique(distinct.begin(), distinct.end()), distinct.end());
-  std::vector<MulticastRequest> seed;
-  seed.reserve(distinct.size());
-  for (const EdgeTag t : distinct) seed.push_back(instances[t]);
+  // Seed the witness with the instances the assignment blames, then shrink.
   DeadlockCandidate remapped = *cand;
-  for (EdgeTag& t : remapped.assignment) {
-    const auto it = std::lower_bound(distinct.begin(), distinct.end(), t);
-    t = static_cast<EdgeTag>(it - distinct.begin());
-  }
-
-  if (config.shrink && subset_deadlocks(scenario, seed, cand->realizable)) {
-    report.witness = shrink_witness(scenario, std::move(seed), cand->realizable);
+  std::vector<MulticastRequest> seed = blamed_instances(instances, remapped.assignment);
+  const DeadlockOracle deadlocks = [&](const std::vector<MulticastRequest>& subset) {
+    return subset_deadlocks(scenario, subset, cand->realizable);
+  };
+  if (config.shrink && deadlocks(seed)) {
+    report.witness = shrunk_witness(scenario, shrink_instances(std::move(seed), deadlocks),
+                                    cand->realizable);
   } else {
     report.witness = make_witness(scenario, std::move(seed), remapped);
   }

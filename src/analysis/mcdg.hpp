@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -91,6 +92,26 @@ struct TaggedCycle {
 /// Shared by the deterministic analyzer and the relation-based engine.
 [[nodiscard]] std::optional<TaggedCycle> find_multi_instance_cycle(
     const cdg::ChannelGraph& graph);
+
+/// Oracle of witness shrinking: does this set of concurrent instances still
+/// deadlock?  subset_deadlocks for algorithms, relation_subset_deadlocks
+/// for routing relations.
+using DeadlockOracle = std::function<bool(const std::vector<mcast::MulticastRequest>&)>;
+
+/// Seed of a witness: the instances a cycle found over `instances` blames,
+/// instances[t] for each distinct tag t of `edge_instance` in tag order.
+/// `edge_instance` is remapped in place to index the returned seed.
+[[nodiscard]] std::vector<mcast::MulticastRequest> blamed_instances(
+    const std::vector<mcast::MulticastRequest>& instances,
+    std::vector<cdg::EdgeTag>& edge_instance);
+
+/// Delta-debug a deadlocking instance set: drop whole instances while more
+/// than two remain, then single destinations to a fixpoint, keeping every
+/// reduction `deadlocks` still accepts.  The result is 1-minimal under both
+/// reductions.  Shared by the deterministic analyzer and the relation
+/// engine.
+[[nodiscard]] std::vector<mcast::MulticastRequest> shrink_instances(
+    std::vector<mcast::MulticastRequest> instances, const DeadlockOracle& deadlocks);
 
 /// Does the CDG restricted to `instances` still witness a deadlock at the
 /// given realizability level?  This is the delta-debugging oracle used by

@@ -329,37 +329,9 @@ DeadlockWitness relation_witness(const RoutingRelation& rel,
   return witness;
 }
 
-DeadlockWitness shrink_relation_witness(const RoutingRelation& rel,
+// Witness over an already shrunk instance set: re-derive its cycle.
+DeadlockWitness shrunk_relation_witness(const RoutingRelation& rel,
                                         std::vector<MulticastRequest> working) {
-  // Phase 1: drop whole instances while the subset still cycles.
-  for (std::size_t i = 0; i < working.size() && working.size() > 2;) {
-    std::vector<MulticastRequest> trial = working;
-    trial.erase(trial.begin() + static_cast<std::ptrdiff_t>(i));
-    if (relation_subset_deadlocks(rel, trial)) {
-      working = std::move(trial);
-    } else {
-      ++i;
-    }
-  }
-  // Phase 2: delta-debug destination sets to a fixpoint.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (std::size_t i = 0; i < working.size(); ++i) {
-      for (std::size_t d = 0; d < working[i].destinations.size();) {
-        if (working[i].destinations.size() <= 1) break;
-        std::vector<MulticastRequest> trial = working;
-        trial[i].destinations.erase(trial[i].destinations.begin() +
-                                    static_cast<std::ptrdiff_t>(d));
-        if (relation_subset_deadlocks(rel, trial)) {
-          working = std::move(trial);
-          changed = true;
-        } else {
-          ++d;
-        }
-      }
-    }
-  }
   RelationEngine engine(rel);
   const ChannelGraph graph = engine.build_cdg(working, nullptr);
   const auto cycle = find_multi_instance_cycle(graph);
@@ -399,21 +371,15 @@ RelationReport analyze_relation(const RoutingRelation& relation, const AnalysisC
 
   const auto cycle = find_multi_instance_cycle(graph);
   if (!cycle) return report;
-  // Seed the witness with the instances the cycle blames, remap the edge
-  // assignment onto the seed, then shrink.
-  std::vector<EdgeTag> distinct = cycle->edge_instance;
-  std::sort(distinct.begin(), distinct.end());
-  distinct.erase(std::unique(distinct.begin(), distinct.end()), distinct.end());
-  std::vector<MulticastRequest> seed;
-  seed.reserve(distinct.size());
-  for (const EdgeTag t : distinct) seed.push_back(instances[t]);
+  // Seed the witness with the instances the cycle blames, then shrink.
   TaggedCycle remapped = *cycle;
-  for (EdgeTag& t : remapped.edge_instance) {
-    const auto it = std::lower_bound(distinct.begin(), distinct.end(), t);
-    t = static_cast<EdgeTag>(it - distinct.begin());
-  }
-  if (config.shrink && relation_subset_deadlocks(relation, seed)) {
-    report.witness = shrink_relation_witness(relation, std::move(seed));
+  std::vector<MulticastRequest> seed = blamed_instances(instances, remapped.edge_instance);
+  const DeadlockOracle deadlocks = [&](const std::vector<MulticastRequest>& subset) {
+    return relation_subset_deadlocks(relation, subset);
+  };
+  if (config.shrink && deadlocks(seed)) {
+    report.witness =
+        shrunk_relation_witness(relation, shrink_instances(std::move(seed), deadlocks));
   } else {
     report.witness = relation_witness(relation, std::move(seed), remapped);
   }

@@ -45,7 +45,7 @@ void require(const Algorithm (&list)[N], Algorithm a, const topo::Topology& t) {
 RouteBatch Router::route_many(std::span<const MulticastRequest> requests) const {
   RouteBatch batch;
   batch.reserve(requests.size());
-  for (const MulticastRequest& request : requests) batch.append(route(request));
+  for (const MulticastRequest& request : requests) batch.push_back(route(request));
   return batch;
 }
 

@@ -17,11 +17,13 @@
 #include <string_view>
 #include <vector>
 
-#include "core/route_arena.hpp"
 #include "core/route_factory.hpp"
 #include "wormhole/worm.hpp"
 
 namespace mcnet::mcast {
+
+/// The routes of one route_many() call, element i for requests[i].
+using RouteBatch = std::vector<MulticastRoute>;
 
 class Router {
  public:
@@ -33,11 +35,10 @@ class Router {
   /// std::invalid_argument instead of producing a degenerate worm.
   [[nodiscard]] virtual MulticastRoute route(const MulticastRequest& request) const = 0;
 
-  /// Route a whole batch of requests into one arena-backed RouteBatch:
-  /// route(requests[i]) for each i in order, so element i converts
-  /// (route_at) to exactly what route(requests[i]) returns.  Throws
-  /// whatever route() throws on the first invalid request.  No router in
-  /// the library overrides it; it stays virtual so instrumenting
+  /// Route a whole batch of requests: route(requests[i]) for each i in
+  /// order, so element i is exactly what route(requests[i]) returns.
+  /// Throws whatever route() throws on the first invalid request.  No
+  /// router in the library overrides it; it stays virtual so instrumenting
   /// decorators can observe batch calls.
   [[nodiscard]] virtual RouteBatch route_many(
       std::span<const MulticastRequest> requests) const;

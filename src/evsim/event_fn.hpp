@@ -1,5 +1,5 @@
 // Small-buffer callable for arena-allocated kernel events.  The hot path
-// (worm advancement, coroutine resumption, traffic arrivals) constructs the
+// (worm advancement, channel drains, traffic arrivals) constructs the
 // capture in place inside the event record -- no heap allocation, no
 // std::function.  Oversized captures (a handful of service-layer retry
 // closures) fall back to a single heap allocation instead of silently

@@ -286,46 +286,4 @@ void MulticastService::reliable_attempt_done(const std::shared_ptr<ReliableOp>& 
   });
 }
 
-MulticastService::Handle MulticastService::unicast(topo::NodeId source,
-                                                   topo::NodeId destination, DoneFn on_done) {
-  return multicast(mcast::MulticastRequest{source, {destination}}, {}, std::move(on_done));
-}
-
-void MulticastService::barrier(topo::NodeId root,
-                               std::function<void(double)> on_released) {
-  auto arrived = std::make_shared<std::uint32_t>(0);
-  const std::uint32_t expected = topology_->num_nodes() - 1;
-  auto released = std::move(on_released);
-  for (topo::NodeId n = 0; n < topology_->num_nodes(); ++n) {
-    if (n == root) continue;
-    unicast(n, root, [this, arrived, expected, root, released](double) {
-      if (++*arrived != expected) return;
-      broadcast(root, [this, released](double) {
-        if (released) released(sched_->now());
-      });
-    });
-  }
-}
-
-MulticastService::Handle MulticastService::broadcast(topo::NodeId root, DoneFn on_done) {
-  mcast::MulticastRequest req{root, {}};
-  req.destinations.reserve(topology_->num_nodes() - 1);
-  for (topo::NodeId d = 0; d < topology_->num_nodes(); ++d) {
-    if (d != root) req.destinations.push_back(d);
-  }
-  return multicast(req, {}, std::move(on_done));
-}
-
-void MulticastService::gather(topo::NodeId root, std::function<void(double)> on_done) {
-  auto arrived = std::make_shared<std::uint32_t>(0);
-  const std::uint32_t expected = topology_->num_nodes() - 1;
-  auto done = std::move(on_done);
-  for (topo::NodeId n = 0; n < topology_->num_nodes(); ++n) {
-    if (n == root) continue;
-    unicast(n, root, [this, arrived, expected, done](double) {
-      if (++*arrived == expected && done) done(sched_->now());
-    });
-  }
-}
-
 }  // namespace mcnet::svc

@@ -3,10 +3,10 @@
 // over the routing algorithms and the wormhole simulator.
 //
 // The service owns a Network and routes through a mcast::Router; user code
-// calls multicast()/unicast() and receives completion callbacks, without
-// touching worms or channels.  Collective operations (barrier, broadcast,
-// gather) are built on the same primitive, mirroring how the paper
-// motivates multicast with barrier synchronisation and data distribution.
+// calls multicast() and receives completion callbacks, without touching
+// worms or channels.  Collective operations (barrier, broadcast, allgather,
+// allreduce, all-to-all) live one layer up, in coll::Collective over
+// GroupService.
 //
 // Under failures (see fault/), multicast_reliable() degrades gracefully
 // instead of hanging: every attempt carries a timeout (expiry aborts the
@@ -149,21 +149,6 @@ class MulticastService {
 
   [[nodiscard]] evsim::Scheduler& scheduler() { return *sched_; }
   [[nodiscard]] const topo::Topology& topology() const { return *topology_; }
-
-  /// One-destination convenience.
-  Handle unicast(topo::NodeId source, topo::NodeId destination, DoneFn on_done = {});
-
-  /// Barrier: every node reports to `root` (unicast); once all reports are
-  /// in, `root` multicasts the release; `on_released` fires when the last
-  /// node is released.  Report payloads use the same message size as data.
-  void barrier(topo::NodeId root, std::function<void(double finish_time_s)> on_released);
-
-  /// Broadcast from `root` to all other nodes.
-  Handle broadcast(topo::NodeId root, DoneFn on_done = {});
-
-  /// Gather: every other node sends one message to `root`; `on_done` fires
-  /// when the last one arrives.
-  void gather(topo::NodeId root, std::function<void(double finish_time_s)> on_done);
 
   [[nodiscard]] const worm::Network& network() const { return *network_; }
   [[nodiscard]] worm::Network& network() { return *network_; }

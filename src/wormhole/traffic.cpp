@@ -1,6 +1,9 @@
 #include "wormhole/traffic.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "core/router.hpp"
 
@@ -9,6 +12,16 @@ namespace mcnet::worm {
 TrafficDriver::TrafficDriver(evsim::Scheduler& sched, Network& network, TrafficConfig config,
                              const mcast::Router& router)
     : sched_(&sched), network_(&network), config_(config), router_(&router) {
+  // A zero gap reschedules every generator at the same instant forever; a
+  // zero average wraps the [1, 2*avg - 1] draw to all-node broadcasts.
+  if (!(config.mean_interarrival_s > 0.0) || !std::isfinite(config.mean_interarrival_s)) {
+    throw std::invalid_argument(
+        "TrafficConfig.mean_interarrival_s must be positive and finite (got " +
+        std::to_string(config.mean_interarrival_s) + ")");
+  }
+  if (config.avg_destinations == 0) {
+    throw std::invalid_argument("TrafficConfig.avg_destinations must be >= 1 (got 0)");
+  }
   const std::uint32_t n = network.topology().num_nodes();
   rngs_.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {

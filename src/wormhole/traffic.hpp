@@ -35,7 +35,9 @@ struct TrafficConfig {
 class TrafficDriver {
  public:
   /// Route every generated multicast through `router` (which must outlive
-  /// the driver).
+  /// the driver).  Throws std::invalid_argument naming the field when
+  /// `config` cannot generate traffic: mean_interarrival_s not positive and
+  /// finite, or avg_destinations == 0.
   TrafficDriver(evsim::Scheduler& sched, Network& network, TrafficConfig config,
                 const mcast::Router& router);
 

@@ -5,12 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include "analysis/instances.hpp"
 #include "analysis/invariants.hpp"
 #include "analysis/mcdg.hpp"
+#include "analysis/relation.hpp"
 #include "analysis/scenario.hpp"
 #include "core/dual_path.hpp"
 
@@ -50,6 +53,31 @@ TEST(Instances, StrideSamplingRespectsBudget) {
   const auto sampled = analysis::enumerate_instances(*fixture.topology, 2, 100);
   EXPECT_GT(sampled.size(), 50u);
   EXPECT_LE(sampled.size(), 110u);  // stride rounding may slightly overshoot
+}
+
+// A zero set-size bound enumerates nothing, so an analysis run on it would
+// certify CLEAN over zero instances.  Every analysis must refuse instead,
+// naming the field.
+TEST(Instances, ZeroMaxSetSizeIsRejectedByEveryAnalysis) {
+  const auto fixture = analysis::make_fixture("mesh:4x4");
+  const auto expect_refused = [](const char* what, const std::function<void()>& run) {
+    try {
+      run();
+      ADD_FAILURE() << what << " accepted max_set_size == 0";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("max_set_size"), std::string::npos) << e.what();
+    }
+  };
+  AnalysisConfig empty;
+  empty.max_set_size = 0;
+  const Scenario s = analysis::make_scenario(fixture, Algorithm::kXFirstMT);
+  expect_refused("enumerate_instances",
+                 [&] { (void)analysis::enumerate_instances(*fixture.topology, 0); });
+  expect_refused("analyze_deadlock", [&] { (void)analysis::analyze_deadlock(s, empty); });
+  expect_refused("check_invariants", [&] { (void)analysis::check_invariants(s, empty); });
+  expect_refused("analyze_relation", [&] {
+    (void)analysis::analyze_relation(analysis::make_relation(fixture, "min-adaptive"), empty);
+  });
 }
 
 TEST(Scenario, VerifiableAlgorithmsMatchTopology) {
@@ -178,6 +206,35 @@ TEST(McdgRegression, ShrunkNaiveTreeWitnessIsOneMinimal) {
     EXPECT_FALSE(analysis::subset_deadlocks(s, subset, /*require_realizable=*/true))
         << "witness not 1-minimal: instance " << drop << " is redundant";
   }
+}
+
+// The shared delta-debugging shrinker knows nothing but its oracle: with a
+// synthetic oracle that needs node 1 sending to 5 and node 2 sending to 7,
+// every other instance and destination must go.
+TEST(Mcdg, ShrinkInstancesKeepsOnlyWhatTheOracleNeeds) {
+  const std::vector<MulticastRequest> seed = {
+      {0, {3, 4}}, {1, {5, 6, 8}}, {2, {9, 7}}, {3, {1}}};
+  const analysis::DeadlockOracle needs = [](const std::vector<MulticastRequest>& set) {
+    const auto sends = [&](NodeId src, NodeId dst) {
+      return std::any_of(set.begin(), set.end(), [&](const MulticastRequest& r) {
+        return r.source == src && std::count(r.destinations.begin(), r.destinations.end(),
+                                             dst) > 0;
+      });
+    };
+    return sends(1, 5) && sends(2, 7);
+  };
+  const std::vector<MulticastRequest> shrunk = analysis::shrink_instances(seed, needs);
+  EXPECT_EQ(shrunk, (std::vector<MulticastRequest>{{1, {5}}, {2, {7}}}));
+}
+
+TEST(Mcdg, BlamedInstancesRemapsEdgeTagsOntoTheSeed) {
+  const std::vector<MulticastRequest> instances = {
+      {0, {1}}, {1, {2}}, {2, {3}}, {3, {4}}, {4, {5}}};
+  std::vector<cdg::EdgeTag> edge_instance = {4, 1, 4, 1};
+  const std::vector<MulticastRequest> seed =
+      analysis::blamed_instances(instances, edge_instance);
+  EXPECT_EQ(seed, (std::vector<MulticastRequest>{instances[1], instances[4]}));
+  EXPECT_EQ(edge_instance, (std::vector<cdg::EdgeTag>{1, 0, 1, 0}));
 }
 
 TEST(McdgRegression, NaiveHypercubeTreesDeadlock) {

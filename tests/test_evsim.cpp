@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "evsim/facility.hpp"
-#include "evsim/process.hpp"
 #include "evsim/random.hpp"
 #include "evsim/scheduler.hpp"
 #include "evsim/stats.hpp"
@@ -64,97 +62,6 @@ TEST(Scheduler, RejectsPastEvents) {
   s.schedule_at(2.0, [] {});
   s.run();
   EXPECT_THROW(s.schedule_at(1.0, [] {}), std::invalid_argument);
-}
-
-TEST(Process, DelaySuspendsAndResumes) {
-  Scheduler s;
-  std::vector<double> times;
-  const auto proc = [](Scheduler& sched, std::vector<double>& t) -> Process {
-    t.push_back(sched.now());
-    co_await delay(sched, 1.5);
-    t.push_back(sched.now());
-    co_await delay(sched, 2.5);
-    t.push_back(sched.now());
-  };
-  proc(s, times);
-  s.run();
-  ASSERT_EQ(times.size(), 3u);
-  EXPECT_DOUBLE_EQ(times[0], 0.0);
-  EXPECT_DOUBLE_EQ(times[1], 1.5);
-  EXPECT_DOUBLE_EQ(times[2], 4.0);
-}
-
-TEST(Facility, SerialisesUsersFcfs) {
-  Scheduler s;
-  Facility fac(s, 1);
-  std::vector<std::pair<int, double>> service_start;
-  const auto user = [](Scheduler& sched, Facility& f, int id, double arrive,
-                       std::vector<std::pair<int, double>>& log) -> Process {
-    co_await delay(sched, arrive);
-    co_await f.acquire();
-    log.emplace_back(id, sched.now());
-    co_await delay(sched, 10.0);  // service time
-    f.release();
-  };
-  user(s, fac, 0, 0.0, service_start);
-  user(s, fac, 1, 1.0, service_start);
-  user(s, fac, 2, 2.0, service_start);
-  s.run();
-  ASSERT_EQ(service_start.size(), 3u);
-  EXPECT_EQ(service_start[0].first, 0);
-  EXPECT_DOUBLE_EQ(service_start[0].second, 0.0);
-  EXPECT_EQ(service_start[1].first, 1);
-  EXPECT_DOUBLE_EQ(service_start[1].second, 10.0);
-  EXPECT_EQ(service_start[2].first, 2);
-  EXPECT_DOUBLE_EQ(service_start[2].second, 20.0);
-}
-
-TEST(Facility, MultipleServersRunConcurrently) {
-  Scheduler s;
-  Facility fac(s, 2);
-  std::vector<double> done;
-  const auto user = [](Scheduler& sched, Facility& f, std::vector<double>& log) -> Process {
-    co_await f.acquire();
-    co_await delay(sched, 5.0);
-    f.release();
-    log.push_back(sched.now());
-  };
-  for (int i = 0; i < 4; ++i) user(s, fac, done);
-  s.run();
-  ASSERT_EQ(done.size(), 4u);
-  EXPECT_DOUBLE_EQ(done[0], 5.0);
-  EXPECT_DOUBLE_EQ(done[1], 5.0);
-  EXPECT_DOUBLE_EQ(done[2], 10.0);
-  EXPECT_DOUBLE_EQ(done[3], 10.0);
-}
-
-TEST(Facility, OverReleaseThrows) {
-  Scheduler s;
-  Facility fac(s, 1);
-  EXPECT_THROW(fac.release(), std::logic_error);
-}
-
-TEST(Mailbox, DeliversInOrderAndBlocksReceivers) {
-  Scheduler s;
-  Mailbox<int> box(s);
-  std::vector<int> got;
-  const auto receiver = [](Mailbox<int>& mb, std::vector<int>& out) -> Process {
-    for (int i = 0; i < 3; ++i) {
-      out.push_back(co_await mb.receive());
-    }
-  };
-  receiver(box, got);
-  EXPECT_EQ(box.waiting_receivers(), 1u);
-  const auto sender = [](Scheduler& sched, Mailbox<int>& mb) -> Process {
-    co_await delay(sched, 1.0);
-    mb.send(10);
-    mb.send(20);
-    co_await delay(sched, 1.0);
-    mb.send(30);
-  };
-  sender(s, box);
-  s.run();
-  EXPECT_EQ(got, (std::vector<int>{10, 20, 30}));
 }
 
 TEST(Stats, SummaryWelford) {

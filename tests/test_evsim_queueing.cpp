@@ -1,10 +1,11 @@
-// Queueing-theory validation of the CSIM-substitute substrate: an M/D/1
-// facility simulated with coroutine processes must match the
-// Pollaczek-Khinchine mean waiting time  W_q = rho * s / (2 (1 - rho)).
+// Queueing-theory validation of the event kernel: an M/D/1 server driven
+// by scheduler callbacks must match the Pollaczek-Khinchine mean waiting
+// time  W_q = rho * s / (2 (1 - rho)).
 #include <gtest/gtest.h>
 
-#include "evsim/facility.hpp"
-#include "evsim/process.hpp"
+#include <deque>
+#include <functional>
+
 #include "evsim/random.hpp"
 #include "evsim/scheduler.hpp"
 #include "evsim/stats.hpp"
@@ -21,34 +22,36 @@ struct MD1Result {
 MD1Result run_md1(double arrival_rate, double service_time, std::uint64_t customers,
                   std::uint64_t seed) {
   Scheduler sched;
-  Facility server(sched, 1);
+  Rng rng(seed);
   Summary waits;
+  // Arrival times of the customers waiting for the single FCFS server.
+  std::deque<double> queue;
+  bool busy = false;
+  std::uint64_t arrived = 0;
 
-  // One generator process spawns customer processes with exponential
-  // interarrival times -- the CSIM programming model end to end.
-  struct Env {
-    Scheduler& sched;
-    Facility& server;
-    Summary& waits;
-    double service_time;
-  } env{sched, server, waits, service_time};
-
-  static const auto customer = [](Env& e) -> Process {
-    const double arrived = e.sched.now();
-    co_await e.server.acquire();
-    e.waits.add(e.sched.now() - arrived);
-    co_await delay(e.sched, e.service_time);
-    e.server.release();
+  std::function<void(double)> serve = [&](double arrival) {
+    busy = true;
+    waits.add(sched.now() - arrival);
+    sched.schedule_in(service_time, [&] {
+      busy = false;
+      if (queue.empty()) return;
+      const double next = queue.front();
+      queue.pop_front();
+      serve(next);
+    });
   };
-  const auto generator = [](Env& e, Rng& rng, double rate, std::uint64_t n) -> Process {
-    for (std::uint64_t i = 0; i < n; ++i) {
-      co_await delay(e.sched, rng.exponential(1.0 / rate));
-      customer(e);
+  // Exponential interarrival times: each arrival draws the next one.
+  std::function<void()> arrive = [&] {
+    if (busy) {
+      queue.push_back(sched.now());
+    } else {
+      serve(sched.now());
+    }
+    if (++arrived < customers) {
+      sched.schedule_in(rng.exponential(1.0 / arrival_rate), [&] { arrive(); });
     }
   };
-
-  Rng rng(seed);
-  generator(env, rng, arrival_rate, customers);
+  sched.schedule_in(rng.exponential(1.0 / arrival_rate), [&] { arrive(); });
   sched.run();
   return {waits.mean(), waits.count()};
 }

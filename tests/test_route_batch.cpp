@@ -1,13 +1,11 @@
-// RouteBatch arena semantics, the route_many batch/scalar equivalence
-// property across every topology/algorithm pair of the CI matrix (also
-// through the cached and fault-aware stacks), CachingRouter accounting and
-// config validation.
+// The route_many batch/scalar equivalence property across every
+// topology/algorithm pair of the CI matrix (also through the cached and
+// fault-aware stacks), CachingRouter accounting and config validation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <thread>
 
-#include "core/route_arena.hpp"
 #include "core/route_cache.hpp"
 #include "core/router.hpp"
 #include "evsim/random.hpp"
@@ -36,53 +34,15 @@ std::vector<mcast::MulticastRequest> random_requests(const topo::Topology& t,
   return out;
 }
 
-// (a) RouteBatch value semantics: append/route_at round-trips and
-// per-element metrics match the scalar accessors.
-
-TEST(RouteBatch, AppendRoundTripsAndMetricsMatch) {
-  const topo::Mesh2D mesh(6, 5);
-  const auto router = mcast::make_router(mesh, Algorithm::kDualPath);
-  const auto requests = random_requests(mesh, 10, 8, 3);
-
-  mcast::RouteBatch batch;
-  std::vector<mcast::MulticastRoute> scalar;
-  std::uint64_t total = 0;
-  for (const auto& req : requests) {
-    scalar.push_back(router->route(req));
-    EXPECT_EQ(batch.append(scalar.back()), scalar.size() - 1);
-    total += scalar.back().traffic();
-  }
-  ASSERT_EQ(batch.size(), requests.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(batch.route_at(i), scalar[i]);
-    EXPECT_EQ(batch.source_at(i), requests[i].source);
-    EXPECT_EQ(batch.traffic_at(i), scalar[i].traffic());
-    EXPECT_EQ(batch.deliveries_at(i), scalar[i].num_deliveries());
-    EXPECT_EQ(batch.max_delivery_hops_at(i), scalar[i].max_delivery_hops());
-  }
-  EXPECT_EQ(batch.total_traffic(), total);
-}
-
-TEST(RouteBatch, ClearDropsElementsAndArenas) {
-  const topo::Mesh2D mesh(4, 4);
-  const auto router = mcast::make_router(mesh, Algorithm::kDualPath);
-  mcast::RouteBatch batch = router->route_many(random_requests(mesh, 4, 4, 9));
-  ASSERT_GT(batch.arena_path_nodes(), 0u);
-  batch.clear();
-  EXPECT_TRUE(batch.empty());
-  EXPECT_EQ(batch.arena_path_nodes(), 0u);
-  EXPECT_EQ(batch.total_traffic(), 0u);
-}
+// (a) The equivalence property: route_many == N scalar route() calls for
+// every algorithm on every topology of the CI matrix, each element
+// structurally valid.  Also pinned through a CachingRouter, cold and warm.
 
 TEST(RouteBatch, EmptySpanYieldsEmptyBatch) {
   const topo::Mesh2D mesh(4, 4);
   const auto router = mcast::make_caching_router(mesh, Algorithm::kDualPath);
   EXPECT_TRUE(router->route_many({}).empty());
 }
-
-// (b) The equivalence property: route_many == N scalar route() calls for
-// every algorithm on every topology of the CI matrix, each element
-// structurally valid.  Also pinned through a CachingRouter, cold and warm.
 
 TEST(RouteMany, EquivalentToScalarAcrossTopologyMatrix) {
   for (const std::string spec :
@@ -95,7 +55,7 @@ TEST(RouteMany, EquivalentToScalarAcrossTopologyMatrix) {
       const mcast::RouteBatch batch = router->route_many(requests);
       ASSERT_EQ(batch.size(), requests.size());
       for (std::size_t i = 0; i < requests.size(); ++i) {
-        const mcast::MulticastRoute route = batch.route_at(i);
+        const mcast::MulticastRoute& route = batch[i];
         EXPECT_EQ(route, router->route(requests[i]));
         verify_route(*topology, requests[i], route);
       }
@@ -106,7 +66,7 @@ TEST(RouteMany, EquivalentToScalarAcrossTopologyMatrix) {
         const mcast::RouteBatch cb = cached->route_many(requests);
         ASSERT_EQ(cb.size(), requests.size());
         for (std::size_t i = 0; i < requests.size(); ++i) {
-          EXPECT_EQ(cb.route_at(i), router->route(requests[i]));
+          EXPECT_EQ(cb[i], router->route(requests[i]));
         }
       }
     }
@@ -130,7 +90,7 @@ TEST(RouteMany, DuplicatesAndPermutationsMatchScalar) {
     const mcast::RouteBatch batch = cached->route_many(requests);
     ASSERT_EQ(batch.size(), requests.size());
     for (std::size_t i = 0; i < requests.size(); ++i) {
-      EXPECT_EQ(batch.route_at(i), plain->route(requests[i])) << "pass " << pass;
+      EXPECT_EQ(batch[i], plain->route(requests[i])) << "pass " << pass;
     }
   }
 }
@@ -151,7 +111,7 @@ TEST(RouteMany, ConcurrentBatchesMatchScalar) {
       for (int rep = 0; rep < 8; ++rep) {
         const mcast::RouteBatch batch = cached->route_many(requests);
         for (std::size_t i = 0; i < requests.size(); ++i) {
-          if (batch.route_at(i) != expected[i]) ++mismatches[w];
+          if (batch[i] != expected[i]) ++mismatches[w];
         }
       }
     });
@@ -161,7 +121,7 @@ TEST(RouteMany, ConcurrentBatchesMatchScalar) {
   EXPECT_LE(cached->size(), cached->capacity());
 }
 
-// (c) CachingRouter accounting and config validation.
+// (b) CachingRouter accounting and config validation.
 
 TEST(RouteCache, RouteManyCountsEveryRequestInTheShards) {
   const topo::Mesh2D mesh(6, 6);
@@ -232,7 +192,7 @@ TEST(RouteCache, CapacityIsExactAndShardsClampToIt) {
   EXPECT_GE(a->stats().evictions, 40u - 10u - a->stats().hits);
 }
 
-// (d) FaultAwareRouter: healthy and degraded batches match scalar routing,
+// (c) FaultAwareRouter: healthy and degraded batches match scalar routing,
 // with the same throw contract as route().
 
 TEST(FaultRouterBatch, HealthyAndDegradedMatchScalar) {
@@ -244,7 +204,7 @@ TEST(FaultRouterBatch, HealthyAndDegradedMatchScalar) {
   const mcast::RouteBatch healthy = router->route_many(requests);
   ASSERT_EQ(healthy.size(), requests.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    EXPECT_EQ(healthy.route_at(i), router->route(requests[i]));
+    EXPECT_EQ(healthy[i], router->route(requests[i]));
   }
 
   // Degrade (still connected): the batch must agree with scalar
@@ -253,8 +213,8 @@ TEST(FaultRouterBatch, HealthyAndDegradedMatchScalar) {
   faults->fail_channel(mesh.channel(1, 0));
   const mcast::RouteBatch degraded = router->route_many(requests);
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    EXPECT_EQ(degraded.route_at(i), router->route(requests[i]));
-    verify_route(mesh, requests[i], degraded.route_at(i));
+    EXPECT_EQ(degraded[i], router->route(requests[i]));
+    verify_route(mesh, requests[i], degraded[i]);
   }
 }
 

@@ -51,33 +51,6 @@ TEST(MulticastService, CallbackCanSendAgain) {
   EXPECT_EQ(rounds, 5);
 }
 
-TEST(MulticastService, BarrierReleasesEveryoneOnce) {
-  const topo::Mesh2D mesh(4, 4);
-  const auto router = mcast::make_router(mesh, Algorithm::kDualPath);
-  evsim::Scheduler sched;
-  svc::MulticastService service = make_service(*router, sched);
-
-  double release_time = -1.0;
-  service.barrier(mesh.node(1, 1), [&](double t) { release_time = t; });
-  sched.run();
-  EXPECT_GT(release_time, 0.0);
-  EXPECT_TRUE(service.network().idle());
-  // 15 report unicasts + 1 release broadcast.
-  EXPECT_EQ(service.network().messages_injected(), 16u);
-}
-
-TEST(MulticastService, GatherCountsAllArrivals) {
-  const topo::Mesh2D mesh(4, 4);
-  const auto router = mcast::make_router(mesh, Algorithm::kDualPath);
-  evsim::Scheduler sched;
-  svc::MulticastService service = make_service(*router, sched);
-  double finish = -1.0;
-  service.gather(0, [&](double t) { finish = t; });
-  sched.run();
-  EXPECT_GT(finish, 0.0);
-  EXPECT_EQ(service.network().messages_completed(), 15u);
-}
-
 TEST(LabeledSuite, WorksOnMesh3DAndKAry) {
   const topo::Mesh3D mesh(3, 3, 3);
   mcast::LabeledRoutingSuite suite(

@@ -4,6 +4,9 @@
 // print as the useless "stod").
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -88,6 +91,39 @@ TEST(ArgParser, NegativeNumbersStillParse) {
   ArgParser p = make_parser({"prog", "--x=-2.5", "--n=-42"});
   EXPECT_DOUBLE_EQ(p.get_double("x", 0.0, ""), -2.5);
   EXPECT_EQ(p.get_int("n", 0, ""), -42);
+}
+
+// Integer flags narrowed into unsigned or 8-bit fields must be range-checked
+// first: a bare cast runs --copies 257 with 1 copy and --runs -1 with
+// 2^32 - 1 runs.
+TEST(ArgParser, RangeCheckedIntNamesTheFlagAndRange) {
+  ArgParser p = make_parser(
+      {"prog", "--copies", "257", "--runs", "-1", "--dests", "12", "--lo", "1", "--hi=255"});
+  const auto expect_range_error = [](const std::function<void()>& get, const char* flag,
+                                     const char* range) {
+    try {
+      get();
+      ADD_FAILURE() << "expected invalid_argument for " << flag;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(flag), std::string::npos) << what;
+      EXPECT_NE(what.find(range), std::string::npos) << what;
+    }
+  };
+  expect_range_error([&] { (void)p.get_int_in<std::uint8_t>("copies", 1, 1, 255, ""); },
+                     "--copies", "[1, 255]");
+  expect_range_error(
+      [&] {
+        (void)p.get_int_in<std::uint32_t>("runs", 1000, 1,
+                                          std::numeric_limits<std::uint32_t>::max(), "");
+      },
+      "--runs", "[1, 4294967295]");
+  EXPECT_EQ(p.get_int_in<std::uint32_t>("dests", 10, 1, 100, ""), 12u);
+  EXPECT_EQ(p.get_int_in<std::uint8_t>("lo", 9, 1, 255, ""), 1u);    // bounds inclusive
+  EXPECT_EQ(p.get_int_in<std::uint8_t>("hi", 9, 1, 255, ""), 255u);
+  EXPECT_EQ(p.get_int_in<std::uint32_t>("flits", 128, 1, 1000, ""), 128u);  // default
+  // A range the target type cannot hold is a programming error.
+  EXPECT_THROW((void)p.get_int_in<std::uint8_t>("dests", 1, 0, 256, ""), std::logic_error);
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
 // TrafficDriver: per-node multicast generators (Section 7.2 workload).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "core/router.hpp"
 #include "evsim/scheduler.hpp"
@@ -151,6 +154,30 @@ TEST(TrafficDriver, ExponentialModeRunsAndDiffersFromUniform) {
   // ~16 nodes * 50 arrivals each expected; allow wide slack.
   EXPECT_GT(f.log.size(), 400u);
   EXPECT_LT(f.log.size(), 1300u);
+}
+
+TEST(TrafficDriver, RejectsConfigsItCannotGenerate) {
+  Fixture f;
+  const auto expect_rejected = [&](const worm::TrafficConfig& config, const char* field) {
+    try {
+      worm::TrafficDriver driver(f.sched, f.net, config, f.router);
+      ADD_FAILURE() << "accepted a config with bad " << field;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+    }
+  };
+  for (const double gap : {0.0, -1e-3, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    expect_rejected({.mean_interarrival_s = gap}, "mean_interarrival_s");
+  }
+  expect_rejected({.avg_destinations = 0}, "avg_destinations");
+  expect_rejected({.avg_destinations = 0, .fixed_destinations = true}, "avg_destinations");
+  EXPECT_TRUE(f.log.empty());
+  EXPECT_EQ(f.sched.pending(), 0u);
+
+  // The benchmark's operating point stays valid.
+  const worm::TrafficConfig bench_point{.mean_interarrival_s = 150e-6, .avg_destinations = 10};
+  EXPECT_NO_THROW(worm::TrafficDriver(f.sched, f.net, bench_point, f.router));
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace mcnet::tools {
@@ -75,6 +76,22 @@ class ArgParser {
                                   "\"");
     }
     return parsed;
+  }
+  /// get_int() checked against [lo, hi] before it is narrowed to T, so an
+  /// out-of-range value is an error naming the flag and the range instead
+  /// of a silently wrapped or truncated setting.
+  template <typename T>
+  [[nodiscard]] T get_int_in(const std::string& key, std::int64_t def, std::int64_t lo,
+                             std::int64_t hi, const std::string& help) {
+    if (!std::in_range<T>(lo) || !std::in_range<T>(hi)) {
+      throw std::logic_error("range of option --" + key + " does not fit its type");
+    }
+    const std::int64_t v = get_int(key, def, help);
+    if (v < lo || v > hi) {
+      throw std::invalid_argument("option --" + key + " must be in [" + std::to_string(lo) +
+                                  ", " + std::to_string(hi) + "], got " + std::to_string(v));
+    }
+    return static_cast<T>(v);
   }
   [[nodiscard]] bool get_flag(const std::string& key, const std::string& help) {
     declare(key, "", help);

@@ -26,7 +26,7 @@ benches=(
   bench_fault_sweep           # reliable delivery under faults
   bench_tables_ch5            # analytic tables
   bench_fig2_3_switching      # switching-model comparison
-  bench_route_throughput      # batch routing engine throughput
+  bench_route_throughput      # cached routing throughput
 )
 
 for bench in "${benches[@]}"; do

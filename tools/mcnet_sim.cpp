@@ -9,6 +9,7 @@
 //   mcnet_sim --topology kary:4x3 --algorithm dual-path --dests 6 --static --csv
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <set>
 
@@ -48,19 +49,23 @@ int main(int argc, char** argv) {
                  "mesh:WxH | cube:N | mesh3:XxYxZ | kary:KxN | karymesh:KxN");
     const std::string algo_name = args.get("algorithm", "dual-path",
                                            "routing algorithm (see README)");
-    const auto dests = static_cast<std::uint32_t>(args.get_int("dests", 10, "destinations"));
-    const auto runs = static_cast<std::uint32_t>(
-        args.get_int("runs", 1000, "random multicast sets (static mode)"));
+    constexpr std::int64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
+    constexpr std::int64_t kI64Max = std::numeric_limits<std::int64_t>::max();
+    const auto dests = args.get_int_in<std::uint32_t>("dests", 10, 1, kU32Max, "destinations");
+    const auto runs = args.get_int_in<std::uint32_t>("runs", 1000, 1, kU32Max,
+                                                     "random multicast sets (static mode)");
     const bool static_mode = args.get_flag("static", "measure static traffic only");
     const double interarrival_us =
         args.get_double("interarrival-us", 300.0, "mean per-node interarrival (dynamic)");
-    const auto messages =
-        static_cast<std::uint64_t>(args.get_int("messages", 2000, "target messages (dynamic)"));
+    // The dynamic run stops at 4x this many messages, so the bound keeps
+    // that product in range.
+    const auto messages = args.get_int_in<std::uint64_t>("messages", 2000, 1, kI64Max / 4,
+                                                         "target messages (dynamic)");
     const auto copies =
-        static_cast<std::uint8_t>(args.get_int("copies", 1, "channel copies per link"));
-    const auto flits = static_cast<std::uint32_t>(
-        args.get_int("flits", 128, "message length in flits (dynamic)"));
-    const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 2026, "random seed"));
+        args.get_int_in<std::uint8_t>("copies", 1, 1, 255, "channel copies per link");
+    const auto flits = args.get_int_in<std::uint32_t>("flits", 128, 1, kU32Max,
+                                                      "message length in flits (dynamic)");
+    const auto seed = args.get_int_in<std::uint64_t>("seed", 2026, 0, kI64Max, "random seed");
     const bool csv = args.get_flag("csv", "machine-readable output");
     const std::string trace_path =
         args.get("trace", "", "write a Chrome/Perfetto trace of the dynamic run (dynamic)");

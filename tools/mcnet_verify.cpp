@@ -15,6 +15,7 @@
 //             2 = verdict contradicts --expect, 1 = usage/setup error.
 #include <cstdio>
 #include <exception>
+#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
@@ -230,12 +231,13 @@ int run(int argc, char** argv) {
   const bool json_mode =
       args.get_flag("json", "emit one structured mcnet-verify-v1 JSON document");
   analysis::AnalysisConfig config;
-  config.max_set_size =
-      static_cast<std::uint32_t>(args.get_int("max-dests", config.max_set_size,
-                                              "largest destination-set size enumerated"));
-  config.max_instances = static_cast<std::size_t>(
-      args.get_int("max-instances", static_cast<std::int64_t>(config.max_instances),
-                   "instance budget (stride-sampled above it)"));
+  config.max_set_size = args.get_int_in<std::uint32_t>(
+      "max-dests", config.max_set_size, 1, std::numeric_limits<std::uint32_t>::max(),
+      "largest destination-set size enumerated");
+  config.max_instances = args.get_int_in<std::size_t>(
+      "max-instances", static_cast<std::int64_t>(config.max_instances), 0,
+      std::numeric_limits<std::int64_t>::max(),
+      "instance budget (stride-sampled above it; 0 = no budget)");
   config.shrink = !args.get_flag("no-shrink", "skip counterexample shrinking");
   const std::string expect =
       args.get("expect", "", "expected verdict: clean, deadlock, or auto (per-algorithm claim)");
