@@ -8,6 +8,11 @@ DualPathSplit dual_path_prepare(const ham::Labeling& labeling,
                                 const MulticastRequest& request) {
   DualPathSplit split;
   const std::uint32_t ls = labeling.label(request.source);
+  const auto num_high = static_cast<std::size_t>(
+      std::count_if(request.destinations.begin(), request.destinations.end(),
+                    [&](topo::NodeId d) { return labeling.label(d) > ls; }));
+  split.high.reserve(num_high);
+  split.low.reserve(request.destinations.size() - num_high);
   for (const topo::NodeId d : request.destinations) {
     (labeling.label(d) > ls ? split.high : split.low).push_back(d);
   }
@@ -26,6 +31,8 @@ MulticastRoute dual_path_route(const topo::Topology& topology, const ham::Labeli
   const DualPathSplit split = dual_path_prepare(labeling, request);
   MulticastRoute route;
   route.source = request.source;
+  route.paths.reserve(static_cast<std::size_t>(!split.high.empty()) +
+                      static_cast<std::size_t>(!split.low.empty()));
   if (!split.high.empty()) {
     route.paths.push_back(
         router.route_path(request.source, split.high, std::nullopt, kHighChannelClass));

@@ -27,6 +27,17 @@ constexpr Algorithm kLabeledAlgorithms[] = {
     Algorithm::kMultiUnicast, Algorithm::kBroadcast, Algorithm::kDualPath,
     Algorithm::kMultiPath, Algorithm::kFixedPath};
 
+// The request as the suites must see it: `request` itself when it is
+// already clean (no copy), else a deduplicated copy in a thread-local
+// buffer that the next call on this thread overwrites.  Suite routing
+// never re-enters a Router, so the reference outlives its one use.
+const MulticastRequest& normalized_view(const MulticastRequest& request,
+                                        std::uint32_t num_nodes) {
+  thread_local RequestScratch scratch;
+  thread_local MulticastRequest storage;
+  return request.normalize_into(num_nodes, scratch, storage);
+}
+
 template <std::size_t N>
 bool contains(const Algorithm (&list)[N], Algorithm a) {
   return std::find(std::begin(list), std::end(list), a) != std::end(list);
@@ -110,7 +121,7 @@ MeshRouter::MeshRouter(const topo::Mesh2D& mesh, Algorithm algorithm, std::uint8
 }
 
 MulticastRoute MeshRouter::route(const MulticastRequest& request) const {
-  return suite_.route(algorithm_, request.normalized(suite_.mesh().num_nodes()));
+  return suite_.route(algorithm_, normalized_view(request, suite_.mesh().num_nodes()));
 }
 
 std::vector<worm::WormSpec> MeshRouter::specs(const MulticastRoute& route) const {
@@ -123,7 +134,7 @@ CubeRouter::CubeRouter(const topo::Hypercube& cube, Algorithm algorithm, std::ui
 }
 
 MulticastRoute CubeRouter::route(const MulticastRequest& request) const {
-  return suite_.route(algorithm_, request.normalized(suite_.cube().num_nodes()));
+  return suite_.route(algorithm_, normalized_view(request, suite_.cube().num_nodes()));
 }
 
 std::vector<worm::WormSpec> CubeRouter::specs(const MulticastRoute& route) const {
@@ -138,7 +149,7 @@ LabeledRouter::LabeledRouter(const topo::Topology& topology,
 }
 
 MulticastRoute LabeledRouter::route(const MulticastRequest& request) const {
-  return suite_.route(algorithm_, request.normalized(suite_.topology().num_nodes()));
+  return suite_.route(algorithm_, normalized_view(request, suite_.topology().num_nodes()));
 }
 
 std::vector<worm::WormSpec> LabeledRouter::specs(const MulticastRoute& route) const {

@@ -15,6 +15,7 @@
 #include <memory>
 #include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/route_factory.hpp"
@@ -56,10 +57,11 @@ class Router {
   [[nodiscard]] virtual const topo::Topology& topology() const = 0;
   [[nodiscard]] virtual std::uint8_t channel_copies() const = 0;
 
-  /// route() + specs() in one call: the traffic-generator hot path.
+  /// route() + specs() in one call: the traffic-generator hot path.  The
+  /// destinations are moved into the request.
   [[nodiscard]] std::vector<worm::WormSpec> build(
-      topo::NodeId source, const std::vector<topo::NodeId>& destinations) const {
-    return specs(route(MulticastRequest{source, destinations}));
+      topo::NodeId source, std::vector<topo::NodeId> destinations) const {
+    return specs(route(MulticastRequest{source, std::move(destinations)}));
   }
 };
 

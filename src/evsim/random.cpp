@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_set>
+#include <vector>
 
 namespace mcnet::evsim {
 
@@ -17,16 +17,19 @@ std::vector<topo::NodeId> Rng::sample_destinations(std::uint32_t num_nodes,
                                                    topo::NodeId source, std::uint32_t k) {
   if (k + 1 > num_nodes) throw std::invalid_argument("too many destinations requested");
   // Sample k distinct values from [0, num_nodes - 2] (Floyd), then map past
-  // the source so it is never selected.
+  // the source so it is never selected.  Picks are marked with this call's
+  // epoch in a per-thread array, so no set is built per call.
   const std::uint32_t pool = num_nodes - 1;
-  std::unordered_set<std::uint32_t> chosen;
-  chosen.reserve(k * 2);
+  thread_local std::vector<std::uint64_t> chosen_epoch;
+  thread_local std::uint64_t epoch = 0;
+  if (chosen_epoch.size() < pool) chosen_epoch.resize(pool, 0);
+  ++epoch;
   std::vector<topo::NodeId> result;
   result.reserve(k);
   for (std::uint32_t j = pool - k; j < pool; ++j) {
     const std::uint32_t t = uniform_int(0, j);
-    const std::uint32_t pick = chosen.insert(t).second ? t : j;
-    if (pick != t) chosen.insert(j);
+    const std::uint32_t pick = chosen_epoch[t] == epoch ? j : t;
+    chosen_epoch[pick] = epoch;
     const topo::NodeId node = pick >= source ? pick + 1 : pick;
     result.push_back(node);
   }

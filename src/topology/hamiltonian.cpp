@@ -1,6 +1,7 @@
 #include "topology/hamiltonian.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 namespace mcnet::ham {
 
@@ -17,76 +18,92 @@ std::uint32_t HypercubeGrayLabeling::paper_label(std::uint32_t address, std::uin
   return label;
 }
 
-MixedRadixGrayLabeling::MixedRadixGrayLabeling(
-    std::vector<std::uint32_t> sizes,
-    std::function<std::uint32_t(NodeId, std::uint32_t)> digit_of,
-    std::function<NodeId(const std::vector<std::uint32_t>&)> node_of)
-    : sizes_(std::move(sizes)), digit_of_(std::move(digit_of)), node_of_(std::move(node_of)) {
-  if (sizes_.empty()) throw std::invalid_argument("need >= 1 dimension");
-  total_ = 1;
-  for (const std::uint32_t s : sizes_) {
+Labeling::Labeling(std::vector<std::uint32_t> labels)
+    : label_(std::move(labels)), node_(label_.size(), topo::kInvalidNode) {
+  const auto n = static_cast<std::uint32_t>(label_.size());
+  for (NodeId u = 0; u < n; ++u) {
+    const std::uint32_t l = label_[u];
+    if (l >= n || node_[l] != topo::kInvalidNode) {
+      throw std::invalid_argument("labeling is not a bijection onto 0..N-1");
+    }
+    node_[l] = u;
+  }
+}
+
+namespace {
+
+std::vector<std::uint32_t> boustrophedon_labels(const topo::Mesh2D& mesh) {
+  const std::uint32_t n = mesh.width();
+  std::vector<std::uint32_t> labels(mesh.num_nodes());
+  for (NodeId u = 0; u < mesh.num_nodes(); ++u) {
+    const topo::Coord2 c = mesh.coord(u);
+    const auto y = static_cast<std::uint32_t>(c.y);
+    const auto x = static_cast<std::uint32_t>(c.x);
+    labels[u] = (y % 2 == 0) ? y * n + x : y * n + n - x - 1;
+  }
+  return labels;
+}
+
+std::vector<std::uint32_t> gray_labels(const topo::Hypercube& cube) {
+  std::vector<std::uint32_t> labels(cube.num_nodes());
+  for (NodeId u = 0; u < cube.num_nodes(); ++u) {
+    labels[u] = HypercubeGrayLabeling::gray_decode(u);
+  }
+  return labels;
+}
+
+std::vector<std::uint32_t> mixed_radix_gray_labels(
+    const std::vector<std::uint32_t>& sizes,
+    const std::function<std::uint32_t(NodeId, std::uint32_t)>& digit_of) {
+  if (sizes.empty()) throw std::invalid_argument("need >= 1 dimension");
+  std::uint32_t total = 1;
+  for (const std::uint32_t s : sizes) {
     if (s == 0) throw std::invalid_argument("dimension size must be positive");
-    total_ *= s;
+    total *= s;
   }
+  std::vector<std::uint32_t> labels(total);
+  for (NodeId u = 0; u < total; ++u) {
+    // Most-significant dimension first; dimension i is reflected when the
+    // parity of the *node* digits above it is odd -- the mixed-radix
+    // generalisation of the paper's c_i = d_{n-1} xor ... xor d_{i+1}.
+    std::uint32_t out = 0;
+    bool reflect = false;
+    for (std::size_t i = sizes.size(); i-- > 0;) {
+      const std::uint32_t d = digit_of(u, static_cast<std::uint32_t>(i));
+      const std::uint32_t g = reflect ? sizes[i] - 1 - d : d;
+      out = out * sizes[i] + g;
+      reflect ^= (d % 2 == 1);
+    }
+    labels[u] = out;
+  }
+  return labels;
 }
 
-std::uint32_t MixedRadixGrayLabeling::label(NodeId u) const {
-  // Most-significant dimension first; dimension i is reflected when the
-  // parity of the *node* digits above it is odd -- the mixed-radix
-  // generalisation of the paper's c_i = d_{n-1} xor ... xor d_{i+1}.
-  std::uint32_t out = 0;
-  bool reflect = false;
-  for (std::size_t i = sizes_.size(); i-- > 0;) {
-    const std::uint32_t d = digit_of_(u, static_cast<std::uint32_t>(i));
-    const std::uint32_t g = reflect ? sizes_[i] - 1 - d : d;
-    out = out * sizes_[i] + g;
-    reflect ^= (d % 2 == 1);
-  }
-  return out;
-}
+}  // namespace
 
-topo::NodeId MixedRadixGrayLabeling::node_at(std::uint32_t l) const {
-  // Invert: peel output digits most-significant first.
-  std::vector<std::uint32_t> gray(sizes_.size());
-  std::uint32_t divisor = total_;
-  for (std::size_t i = sizes_.size(); i-- > 0;) {
-    divisor /= sizes_[i];
-    gray[i] = l / divisor;
-    l %= divisor;
-  }
-  std::vector<std::uint32_t> digits(sizes_.size());
-  bool reflect = false;
-  for (std::size_t i = sizes_.size(); i-- > 0;) {
-    digits[i] = reflect ? sizes_[i] - 1 - gray[i] : gray[i];
-    reflect ^= (digits[i] % 2 == 1);  // parity of the node digits above
-  }
-  return node_of_(digits);
-}
+MeshBoustrophedonLabeling::MeshBoustrophedonLabeling(const topo::Mesh2D& mesh)
+    : Labeling(boustrophedon_labels(mesh)), mesh_(&mesh) {}
+
+HypercubeGrayLabeling::HypercubeGrayLabeling(const topo::Hypercube& cube)
+    : Labeling(gray_labels(cube)), cube_(&cube) {}
+
+MixedRadixGrayLabeling::MixedRadixGrayLabeling(
+    const std::vector<std::uint32_t>& sizes,
+    const std::function<std::uint32_t(NodeId, std::uint32_t)>& digit_of)
+    : Labeling(mixed_radix_gray_labels(sizes, digit_of)) {}
 
 MixedRadixGrayLabeling MixedRadixGrayLabeling::for_mesh3d(const topo::Mesh3D& mesh) {
   return MixedRadixGrayLabeling(
-      {mesh.nx(), mesh.ny(), mesh.nz()},
-      [&mesh](NodeId u, std::uint32_t dim) -> std::uint32_t {
+      {mesh.nx(), mesh.ny(), mesh.nz()}, [&mesh](NodeId u, std::uint32_t dim) -> std::uint32_t {
         const topo::Coord3 c = mesh.coord(u);
         return static_cast<std::uint32_t>(dim == 0 ? c.x : (dim == 1 ? c.y : c.z));
-      },
-      [&mesh](const std::vector<std::uint32_t>& d) {
-        return mesh.node({static_cast<std::int32_t>(d[0]), static_cast<std::int32_t>(d[1]),
-                          static_cast<std::int32_t>(d[2])});
       });
 }
 
 MixedRadixGrayLabeling MixedRadixGrayLabeling::for_kary(const topo::KAryNCube& cube) {
   return MixedRadixGrayLabeling(
       std::vector<std::uint32_t>(cube.dimensions(), cube.radix()),
-      [&cube](NodeId u, std::uint32_t dim) { return cube.digit(u, dim); },
-      [&cube](const std::vector<std::uint32_t>& d) {
-        NodeId u = 0;
-        for (std::uint32_t i = 0; i < d.size(); ++i) {
-          u = cube.with_digit(u, i, d[i]);
-        }
-        return u;
-      });
+      [&cube](NodeId u, std::uint32_t dim) { return cube.digit(u, dim); });
 }
 
 HamiltonCycle::HamiltonCycle(const topo::Topology& topology, std::vector<NodeId> order)

@@ -30,16 +30,31 @@ namespace mcnet::ham {
 using topo::NodeId;
 
 /// A bijection between nodes and label values 0..N-1 induced by a
-/// Hamiltonian path: consecutive labels are adjacent nodes.
+/// Hamiltonian path: consecutive labels are adjacent nodes.  Each subclass
+/// evaluates its label formula once per node at construction; lookups
+/// read the label table and its inverse.
 class Labeling {
  public:
   virtual ~Labeling() = default;
   /// Label of node `u` (its position along the Hamiltonian path).
-  [[nodiscard]] virtual std::uint32_t label(NodeId u) const = 0;
+  [[nodiscard]] std::uint32_t label(NodeId u) const { return label_[u]; }
   /// Node carrying label `l` (inverse of label()).
-  [[nodiscard]] virtual NodeId node_at(std::uint32_t l) const = 0;
+  [[nodiscard]] NodeId node_at(std::uint32_t l) const { return node_[l]; }
   /// Number of nodes N.
-  [[nodiscard]] virtual std::uint32_t size() const = 0;
+  [[nodiscard]] std::uint32_t size() const { return static_cast<std::uint32_t>(label_.size()); }
+
+ protected:
+  /// `labels[u]` is the label of node u.  Throws std::invalid_argument
+  /// unless the labels are a permutation of 0..N-1.
+  explicit Labeling(std::vector<std::uint32_t> labels);
+  Labeling(const Labeling&) = default;
+  Labeling(Labeling&&) = default;
+  Labeling& operator=(const Labeling&) = default;
+  Labeling& operator=(Labeling&&) = default;
+
+ private:
+  std::vector<std::uint32_t> label_;  // node id -> label
+  std::vector<NodeId> node_;          // label -> node id
 };
 
 /// Boustrophedon (snake) labeling of an N1 x N2 mesh, the paper's
@@ -47,23 +62,7 @@ class Labeling {
 ///   l(x, y) = y*n + n - x - 1 if y odd          (n = mesh width).
 class MeshBoustrophedonLabeling final : public Labeling {
  public:
-  explicit MeshBoustrophedonLabeling(const topo::Mesh2D& mesh) : mesh_(&mesh) {}
-
-  [[nodiscard]] std::uint32_t label(NodeId u) const override {
-    const topo::Coord2 c = mesh_->coord(u);
-    const std::uint32_t n = mesh_->width();
-    const auto y = static_cast<std::uint32_t>(c.y);
-    const auto x = static_cast<std::uint32_t>(c.x);
-    return (y % 2 == 0) ? y * n + x : y * n + n - x - 1;
-  }
-  [[nodiscard]] NodeId node_at(std::uint32_t l) const override {
-    const std::uint32_t n = mesh_->width();
-    const std::uint32_t y = l / n;
-    const std::uint32_t r = l % n;
-    const std::uint32_t x = (y % 2 == 0) ? r : n - r - 1;
-    return mesh_->node(static_cast<std::int32_t>(x), static_cast<std::int32_t>(y));
-  }
-  [[nodiscard]] std::uint32_t size() const override { return mesh_->num_nodes(); }
+  explicit MeshBoustrophedonLabeling(const topo::Mesh2D& mesh);
 
   [[nodiscard]] const topo::Mesh2D& mesh() const { return *mesh_; }
 
@@ -78,11 +77,7 @@ class MeshBoustrophedonLabeling final : public Labeling {
 /// label order form the Gray-code Hamiltonian path.
 class HypercubeGrayLabeling final : public Labeling {
  public:
-  explicit HypercubeGrayLabeling(const topo::Hypercube& cube) : cube_(&cube) {}
-
-  [[nodiscard]] std::uint32_t label(NodeId u) const override { return gray_decode(u); }
-  [[nodiscard]] NodeId node_at(std::uint32_t l) const override { return l ^ (l >> 1); }
-  [[nodiscard]] std::uint32_t size() const override { return cube_->num_nodes(); }
+  explicit HypercubeGrayLabeling(const topo::Hypercube& cube);
 
   [[nodiscard]] const topo::Hypercube& cube() const { return *cube_; }
 
@@ -114,25 +109,14 @@ class HypercubeGrayLabeling final : public Labeling {
 class MixedRadixGrayLabeling final : public Labeling {
  public:
   /// `sizes[i]` is the extent of dimension i (dimension 0 least
-  /// significant); `digit_of(node, dim)` / `node_of(digits)` convert
-  /// between node ids and digit vectors.
-  MixedRadixGrayLabeling(std::vector<std::uint32_t> sizes,
-                         std::function<std::uint32_t(NodeId, std::uint32_t)> digit_of,
-                         std::function<NodeId(const std::vector<std::uint32_t>&)> node_of);
+  /// significant); nodes are 0..prod(sizes)-1 and `digit_of(node, dim)`
+  /// gives a node's digit in dimension dim.
+  MixedRadixGrayLabeling(const std::vector<std::uint32_t>& sizes,
+                         const std::function<std::uint32_t(NodeId, std::uint32_t)>& digit_of);
 
   /// Convenience constructors for the shipped topologies.
   [[nodiscard]] static MixedRadixGrayLabeling for_mesh3d(const topo::Mesh3D& mesh);
   [[nodiscard]] static MixedRadixGrayLabeling for_kary(const topo::KAryNCube& cube);
-
-  [[nodiscard]] std::uint32_t label(NodeId u) const override;
-  [[nodiscard]] NodeId node_at(std::uint32_t l) const override;
-  [[nodiscard]] std::uint32_t size() const override { return total_; }
-
- private:
-  std::vector<std::uint32_t> sizes_;
-  std::uint32_t total_;
-  std::function<std::uint32_t(NodeId, std::uint32_t)> digit_of_;
-  std::function<NodeId(const std::vector<std::uint32_t>&)> node_of_;
 };
 
 /// A Hamiltonian cycle with its position map h: h(order()[i]) == i.

@@ -49,22 +49,34 @@ std::optional<std::pair<ChannelRequest, std::uint8_t>> ChannelPool::release(
   slot = kNoWorm;
   --busy_;
   auto& q = queues_[c];
-  // Collect the compatible waiters, then arbitrate (Section 2.3.3).
-  std::vector<std::size_t> compatible;
+  // Arbitrate among the compatible waiters (Section 2.3.3) without
+  // collecting them: FCFS stops at the first, oldest-first keeps the
+  // running minimum, and random counts them, draws once over the count and
+  // walks to its pick.
+  const auto compatible = [copy](const ChannelRequest& r) {
+    return r.copy == kAnyCopy || r.copy == static_cast<std::int8_t>(copy);
+  };
+  std::size_t pick = q.size();
+  std::uint32_t count = 0;
   for (std::size_t i = 0; i < q.size(); ++i) {
-    if (q[i].copy == kAnyCopy || q[i].copy == static_cast<std::int8_t>(copy)) {
-      compatible.push_back(i);
+    if (!compatible(q[i])) continue;
+    ++count;
+    if (pick == q.size()) {
+      pick = i;
       if (arbitration_ == Arbitration::kFcfs) break;  // first wins
+    } else if (arbitration_ == Arbitration::kOldestFirst &&
+               priority_(q[i].worm_id) < priority_(q[pick].worm_id)) {
+      pick = i;
     }
   }
-  if (compatible.empty()) return std::nullopt;
-  std::size_t pick = compatible.front();
-  if (arbitration_ == Arbitration::kOldestFirst) {
-    for (const std::size_t i : compatible) {
-      if (priority_(q[i].worm_id) < priority_(q[pick].worm_id)) pick = i;
+  if (count == 0) return std::nullopt;
+  if (arbitration_ == Arbitration::kRandom) {
+    std::uint32_t skip = rng_.uniform_int(0, count - 1);
+    for (pick = 0;; ++pick) {
+      if (!compatible(q[pick])) continue;
+      if (skip == 0) break;
+      --skip;
     }
-  } else if (arbitration_ == Arbitration::kRandom) {
-    pick = compatible[rng_.uniform_int(0, static_cast<std::uint32_t>(compatible.size() - 1))];
   }
   const ChannelRequest req = q[pick];
   q.erase(q.begin() + static_cast<std::ptrdiff_t>(pick));

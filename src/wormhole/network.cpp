@@ -3,14 +3,23 @@
 #include <algorithm>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "obs/metrics.hpp"
 
 namespace mcnet::worm {
 
 namespace {
+
 constexpr std::uint8_t kNotGranted = 0xFF;
+
+[[noreturn]] void bad_spec(std::size_t spec, const char* array, std::size_t i,
+                           const char* field, const std::string& why) {
+  throw std::invalid_argument("Network::inject: spec " + std::to_string(spec) + ": " + array +
+                              "[" + std::to_string(i) + "]." + field + " " + why);
 }
+
+}  // namespace
 
 Network::Network(const topo::Topology& topology, const WormholeParams& params,
                  evsim::Scheduler& sched, std::shared_ptr<fault::FaultState> faults)
@@ -78,7 +87,85 @@ double Network::utilization() const {
   return busy / (elapsed * static_cast<double>(acquired_at_.size()));
 }
 
+void Network::validate_specs(const std::vector<WormSpec>& specs) const {
+  const std::uint32_t num_channels = topology_->num_channels();
+  const std::uint32_t num_nodes = topology_->num_nodes();
+  const std::uint8_t copies = params_.channel_copies;
+  for (std::size_t s = 0; s < specs.size(); ++s) {
+    const WormSpec& spec = specs[s];
+    if (spec.links.empty()) {
+      throw std::invalid_argument("Network::inject: spec " + std::to_string(s) +
+                                  ": links is empty");
+    }
+    std::uint32_t prev = 0;
+    for (std::size_t i = 0; i < spec.links.size(); ++i) {
+      const WormLink& link = spec.links[i];
+      if (link.depth != prev + 1 && (i == 0 || link.depth != prev)) {
+        bad_spec(s, "links", i, "depth",
+                 std::to_string(link.depth) +
+                     (i == 0 ? " must be 1"
+                             : " after depth " + std::to_string(prev) +
+                                   " (each depth repeats the previous one or adds one)"));
+      }
+      prev = link.depth;
+      if (link.channel >= num_channels) {
+        bad_spec(s, "links", i, "channel",
+                 std::to_string(link.channel) + " out of range (network has " +
+                     std::to_string(num_channels) + " channels)");
+      }
+      if (link.copy != kAnyCopy && (link.copy < 0 || link.copy >= copies)) {
+        bad_spec(s, "links", i, "copy",
+                 std::to_string(link.copy) + " is neither kAnyCopy nor below channel_copies " +
+                     std::to_string(copies));
+      }
+    }
+    const std::uint32_t max_depth = prev;
+    for (std::size_t i = 0; i < spec.deliveries.size(); ++i) {
+      const auto [depth, dest] = spec.deliveries[i];
+      if (depth < 1 || depth > max_depth) {
+        bad_spec(s, "deliveries", i, "depth",
+                 std::to_string(depth) + " outside [1, " + std::to_string(max_depth) +
+                     "] (the worm's deepest link)");
+      }
+      if (i > 0 && depth < spec.deliveries[i - 1].first) {
+        bad_spec(s, "deliveries", i, "depth",
+                 std::to_string(depth) + " after depth " +
+                     std::to_string(spec.deliveries[i - 1].first) + " (not sorted by depth)");
+      }
+      if (dest >= num_nodes) {
+        bad_spec(s, "deliveries", i, "destination",
+                 std::to_string(dest) + " out of range (network has " +
+                     std::to_string(num_nodes) + " nodes)");
+      }
+    }
+  }
+}
+
+void Network::reset_slot(Worm& w) {
+  std::vector<std::uint32_t> depth_start = std::move(w.depth_start);
+  std::vector<std::uint8_t> copy_used = std::move(w.copy_used);
+  w = Worm{};
+  w.depth_start = std::move(depth_start);
+  w.copy_used = std::move(copy_used);
+  w.depth_start.clear();
+  w.copy_used.clear();
+}
+
+void Network::index_links(Worm& w) {
+  w.max_depth = w.links.back().depth;
+  w.copy_used.assign(w.links.size(), kNotGranted);
+  // depth_start[d] = first link index at depth >= d, for d in [1, max+1].
+  w.depth_start.assign(w.max_depth + 2, static_cast<std::uint32_t>(w.links.size()));
+  for (auto i = static_cast<std::uint32_t>(w.links.size()); i-- > 0;) {
+    w.depth_start[w.links[i].depth] = i;
+  }
+  for (std::uint32_t d = w.max_depth; d >= 1; --d) {
+    w.depth_start[d] = std::min(w.depth_start[d], w.depth_start[d + 1]);
+  }
+}
+
 std::uint64_t Network::inject(std::vector<WormSpec> specs) {
+  validate_specs(specs);
   const std::uint64_t msg = next_message_++;
   messages_.push_back(Message{sched_->now(), static_cast<std::uint32_t>(specs.size())});
   if (metrics_.active()) metrics_.injections->inc();
@@ -91,21 +178,12 @@ std::uint64_t Network::inject(std::vector<WormSpec> specs) {
   for (WormSpec& spec : specs) {
     const std::uint32_t id = allocate_worm();
     Worm& w = worms_[id];
-    w = Worm{};
+    reset_slot(w);
     w.message = msg;
     w.t_created = sched_->now();
     w.links = std::move(spec.links);
     w.deliveries = std::move(spec.deliveries);
-    w.max_depth = w.links.back().depth;
-    w.copy_used.assign(w.links.size(), kNotGranted);
-    // depth_start[d] = first link index at depth >= d, for d in [1, max+1].
-    w.depth_start.assign(w.max_depth + 2, static_cast<std::uint32_t>(w.links.size()));
-    for (std::uint32_t i = w.links.size(); i-- > 0;) {
-      w.depth_start[w.links[i].depth] = i;
-    }
-    for (std::uint32_t d = w.max_depth; d >= 1; --d) {
-      w.depth_start[d] = std::min(w.depth_start[d], w.depth_start[d + 1]);
-    }
+    index_links(w);
     w.active = true;
     ++active_worms_;
     begin_frontier(id);
@@ -179,7 +257,7 @@ void Network::vct_absorb(std::uint32_t worm_id) {
   // NOTE: `w` may dangle after allocate_worm (vector growth); re-fetch.
   Worm& old_w = worms_[worm_id];
   Worm& cw = worms_[cont];
-  cw = Worm{};
+  reset_slot(cw);
   cw.message = old_w.message;
   cw.t_created = old_w.t_created;
   cw.links.assign(old_w.links.begin() + blocked, old_w.links.end());
@@ -187,15 +265,7 @@ void Network::vct_absorb(std::uint32_t worm_id) {
   for (const auto& [depth, dest] : old_w.deliveries) {
     if (depth > p) cw.deliveries.emplace_back(depth - p, dest);
   }
-  cw.max_depth = cw.links.back().depth;
-  cw.copy_used.assign(cw.links.size(), 0xFF);
-  cw.depth_start.assign(cw.max_depth + 2, static_cast<std::uint32_t>(cw.links.size()));
-  for (std::uint32_t i = static_cast<std::uint32_t>(cw.links.size()); i-- > 0;) {
-    cw.depth_start[cw.links[i].depth] = i;
-  }
-  for (std::uint32_t d = cw.max_depth; d >= 1; --d) {
-    cw.depth_start[d] = std::min(cw.depth_start[d], cw.depth_start[d + 1]);
-  }
+  index_links(cw);
   cw.frontier_begin = 0;
   cw.frontier_end = cw.depth_start[2];
   cw.granted = 0;

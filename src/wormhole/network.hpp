@@ -85,6 +85,14 @@ class Network {
   /// Inject a multicast as a set of worms created at the current simulated
   /// time; returns the message id.  Worms routed over already-failed
   /// channels are killed immediately (their destinations drop).
+  ///
+  /// Every spec is checked before any state changes; a malformed one
+  /// throws std::invalid_argument naming the spec index and the field.
+  /// Each spec needs non-empty `links` whose depths start at 1 and repeat
+  /// or add one from link to link, channels below num_channels(), copies
+  /// that are kAnyCopy or below channel_copies, and `deliveries` sorted by
+  /// depth, each depth in [1, max depth] and each destination below
+  /// num_nodes().  An empty spec list is a legal no-worm message.
   std::uint64_t inject(std::vector<WormSpec> specs);
 
   void set_hooks(NetworkHooks hooks) { hooks_ = std::move(hooks); }
@@ -186,6 +194,12 @@ class Network {
   void note_grant(ChannelId c, std::uint8_t copy);
   void note_release(ChannelId c, std::uint8_t copy);
 
+  void validate_specs(const std::vector<WormSpec>& specs) const;
+  /// Reset a recycled slot to a fresh Worm, keeping the capacity of its
+  /// copy_used and depth_start buffers.
+  static void reset_slot(Worm& w);
+  /// Size copy_used and build depth_start for the worm's links.
+  static void index_links(Worm& w);
   void begin_frontier(std::uint32_t worm_id);
   void vct_absorb(std::uint32_t worm_id);
   std::uint32_t allocate_worm();

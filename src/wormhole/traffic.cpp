@@ -49,9 +49,8 @@ void TrafficDriver::arrival(topo::NodeId node) {
                         ? config_.avg_destinations
                         : rng.uniform_int(1, 2 * config_.avg_destinations - 1);
   k = std::min(k, max_k);
-  const std::vector<topo::NodeId> dests =
-      rng.sample_destinations(network_->topology().num_nodes(), node, k);
-  network_->inject(router_->build(node, dests));
+  network_->inject(
+      router_->build(node, rng.sample_destinations(network_->topology().num_nodes(), node, k)));
   sched_->schedule_in(next_gap(rng), [this, node] { arrival(node); });
 }
 

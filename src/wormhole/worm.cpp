@@ -29,6 +29,7 @@ WormSpec path_to_spec(const topo::Topology& topology, const mcast::PathRoute& pa
     link.copy = copies > 1 ? kAnyCopy : 0;
     spec.links.push_back(link);
   }
+  spec.deliveries.reserve(path.delivery_hops.size());
   for (const std::uint32_t h : path.delivery_hops) {
     if (h == 0) throw std::logic_error("delivery at the source");
     spec.deliveries.emplace_back(h, path.nodes[h]);

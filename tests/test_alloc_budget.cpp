@@ -1,0 +1,144 @@
+// Heap-allocation budgets of the open-loop send path: routing, destination
+// sampling, channel hand-over and steady-state traffic.  This executable
+// replaces the global operator new/delete with counting versions, so the
+// counts cover every allocation in the process (the library's and the
+// standard library's); other test executables are unaffected.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <vector>
+
+#include "core/router.hpp"
+#include "evsim/random.hpp"
+#include "evsim/scheduler.hpp"
+#include "topology/mesh2d.hpp"
+#include "wormhole/channel_pool.hpp"
+#include "wormhole/network.hpp"
+#include "wormhole/traffic.hpp"
+
+namespace {
+
+std::atomic<std::uint64_t> g_allocations{0};
+
+void* counted_alloc(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+void* counted_alloc(std::size_t size, std::align_val_t align) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  const auto a = static_cast<std::size_t>(align);
+  const std::size_t rounded = (size + a - 1) / a * a;
+  if (void* p = std::aligned_alloc(a, rounded == 0 ? a : rounded)) return p;
+  throw std::bad_alloc();
+}
+
+std::uint64_t allocations() { return g_allocations.load(std::memory_order_relaxed); }
+
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void* operator new(std::size_t size, std::align_val_t align) {
+  return counted_alloc(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return counted_alloc(size, align);
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+
+namespace {
+
+using namespace mcnet;
+using topo::NodeId;
+
+TEST(AllocBudget, DualPathMeshRouteOnCleanRequests) {
+  // One route: the two side lists, the path vector, and each path's node
+  // and delivery vectors.
+  const topo::Mesh2D mesh(8, 8);
+  const mcast::MeshRouter router(mesh, mcast::Algorithm::kDualPath, 2);
+  evsim::Rng rng(3);
+  std::vector<mcast::MulticastRequest> requests;
+  for (int i = 0; i < 500; ++i) {
+    const NodeId source = rng.uniform_int(0, mesh.num_nodes() - 1);
+    requests.push_back({source, rng.sample_destinations(mesh.num_nodes(), source, 10)});
+  }
+  std::uint64_t traffic = router.route(requests.front()).traffic();  // thread-local set-up
+  const std::uint64_t before = allocations();
+  for (const mcast::MulticastRequest& request : requests) {
+    traffic += router.route(request).traffic();
+  }
+  const double per_request =
+      static_cast<double>(allocations() - before) / static_cast<double>(requests.size());
+  EXPECT_GT(traffic, 0u);
+  EXPECT_LE(per_request, 7.0);
+}
+
+TEST(AllocBudget, SampleDestinationsAllocatesOnlyItsResult) {
+  evsim::Rng rng(5);
+  (void)rng.sample_destinations(64, 0, 10);  // thread-local set-up
+  for (NodeId source = 0; source < 64; ++source) {
+    const std::uint64_t before = allocations();
+    const std::vector<NodeId> dests = rng.sample_destinations(64, source, 10);
+    EXPECT_EQ(allocations() - before, 1u) << "source " << source;
+    EXPECT_EQ(dests.size(), 10u);
+  }
+}
+
+TEST(AllocBudget, ChannelReleaseToAQueuedWaiterDoesNotAllocate) {
+  for (const worm::Arbitration arbitration :
+       {worm::Arbitration::kFcfs, worm::Arbitration::kOldestFirst,
+        worm::Arbitration::kRandom}) {
+    worm::ChannelPool pool(4, 1, arbitration,
+                           [](std::uint32_t worm_id) { return static_cast<double>(worm_id); });
+    ASSERT_TRUE(pool.acquire(2, {1, 0, worm::kAnyCopy}).has_value());
+    ASSERT_FALSE(pool.acquire(2, {2, 0, worm::kAnyCopy}).has_value());
+    ASSERT_FALSE(pool.acquire(2, {3, 0, worm::kAnyCopy}).has_value());
+    const std::uint64_t before = allocations();
+    const auto grant = pool.release(2, 0);
+    EXPECT_EQ(allocations() - before, 0u) << static_cast<int>(arbitration);
+    ASSERT_TRUE(grant.has_value());
+    EXPECT_EQ(pool.holder(2, 0), grant->first.worm_id);
+  }
+}
+
+TEST(AllocBudget, SteadyStateDualPathTrafficPerMessage) {
+  // The Fig 7.8 load point on the bare dual-path router: per message, the
+  // sampled destinations, one route and its worm specs; the network and
+  // the kernel recycle their own storage.
+  const topo::Mesh2D mesh(8, 8);
+  const auto router = mcast::make_router(mesh, mcast::Algorithm::kDualPath, 2);
+  evsim::Scheduler sched;
+  worm::Network net(mesh, {.flit_time = 50e-9, .message_flits = 128, .channel_copies = 2},
+                    sched);
+  worm::TrafficDriver traffic(
+      sched, net, {.mean_interarrival_s = 150e-6, .avg_destinations = 10, .seed = 78}, *router);
+  traffic.start();
+  sched.run_until(0.020);  // warm-up: buffers and queues reach their working size
+  const std::uint64_t allocs_before = allocations();
+  const std::uint64_t messages_before = net.messages_injected();
+  sched.run_until(0.050);
+  const std::uint64_t messages = net.messages_injected() - messages_before;
+  const std::uint64_t allocs = allocations() - allocs_before;
+  traffic.stop();
+  sched.run();
+  ASSERT_GT(messages, 1000u);
+  EXPECT_TRUE(net.idle());
+  EXPECT_LE(static_cast<double>(allocs) / static_cast<double>(messages), 13.0)
+      << allocs << " allocations for " << messages << " messages";
+}
+
+}  // namespace

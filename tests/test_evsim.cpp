@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -126,6 +127,35 @@ TEST(Random, SampleDestinationsFullNetwork) {
   EXPECT_EQ(set.size(), 15u);
   EXPECT_FALSE(set.contains(3u));
   EXPECT_THROW((void)rng.sample_destinations(16, 3, 16), std::invalid_argument);
+}
+
+// FNV-1a over the little-endian bytes of each node id.
+std::uint64_t fnv1a(const std::vector<mcnet::topo::NodeId>& ids) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const mcnet::topo::NodeId id : ids) {
+    for (int b = 0; b < 4; ++b) {
+      h ^= (id >> (8 * b)) & 0xFFu;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+TEST(Random, SampleDestinationsOutputIsPinned) {
+  // Floyd's draws followed by the shuffle, as recorded with libstdc++'s
+  // uniform_int_distribution and std::shuffle: any rewrite of the sampler
+  // must pick the same sets in the same order and leave the stream where
+  // the original left it (the second call of each stream checks that).
+  using V = std::vector<mcnet::topo::NodeId>;
+  Rng small(7);
+  EXPECT_EQ(small.sample_destinations(16, 3, 5), (V{1, 2, 12, 13, 9}));
+  EXPECT_EQ(small.sample_destinations(16, 3, 5), (V{4, 9, 13, 10, 11}));
+  Rng mesh(2024);
+  EXPECT_EQ(mesh.sample_destinations(64, 63, 10), (V{61, 34, 43, 19, 62, 56, 0, 14, 33, 8}));
+  EXPECT_EQ(mesh.sample_destinations(64, 63, 10), (V{6, 52, 56, 24, 42, 8, 16, 27, 18, 53}));
+  Rng large(11);
+  EXPECT_EQ(fnv1a(large.sample_destinations(4096, 1234, 1000)), 0x87ce1fc388201e2dULL);
+  EXPECT_EQ(fnv1a(large.sample_destinations(4096, 1234, 1000)), 0xf6de91497c7ceb32ULL);
 }
 
 TEST(Summary, HandlesEdgeCases) {

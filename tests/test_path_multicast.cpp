@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
+#include "analysis/scenario.hpp"
 #include "core/dual_path.hpp"
 #include "core/fixed_path.hpp"
 #include "core/multi_path.hpp"
@@ -11,7 +14,9 @@
 #include "evsim/random.hpp"
 #include "topology/hamiltonian.hpp"
 #include "topology/hypercube.hpp"
+#include "topology/kary_ncube.hpp"
 #include "topology/mesh2d.hpp"
+#include "topology/mesh3d.hpp"
 
 namespace {
 
@@ -75,6 +80,108 @@ TEST(LabelRouter, Lemma64CubeShortestMonotone) {
     const Hypercube cube(n);
     const ham::HypercubeGrayLabeling lab(cube);
     expect_r_shortest_and_monotone(cube, lab);
+  }
+}
+
+// The two-pass form of R that LabelRouter::next_hop replaced, kept as the
+// reference: first the label-extremal neighbour among the monotone ones
+// that move strictly closer (the repaired Lemma 6.4 rule), then the
+// literal max/min-label rule.  `fell_back` reports that the second pass
+// decided.
+NodeId two_pass_next_hop(const topo::Topology& t, const ham::Labeling& lab, NodeId cur,
+                         NodeId dst, bool& fell_back) {
+  const std::uint32_t lc = lab.label(cur);
+  const std::uint32_t ld = lab.label(dst);
+  const std::uint32_t dist = t.distance(cur, dst);
+  const bool high = lc < ld;
+  fell_back = false;
+  for (const bool require_shorter : {true, false}) {
+    NodeId best = topo::kInvalidNode;
+    std::uint32_t best_label = 0;
+    for (const NodeId p : t.neighbors(cur)) {
+      const std::uint32_t lp = lab.label(p);
+      const bool monotone = high ? (lp > lc && lp <= ld) : (lp < lc && lp >= ld);
+      if (!monotone) continue;
+      if (require_shorter && t.distance(p, dst) >= dist) continue;
+      if (best == topo::kInvalidNode || (high ? lp > best_label : lp < best_label)) {
+        best = p;
+        best_label = lp;
+      }
+    }
+    if (best != topo::kInvalidNode) return best;
+    fell_back = true;
+  }
+  return topo::kInvalidNode;
+}
+
+TEST(LabelRouter, OneScanEqualsTwoPassReference) {
+  // Only kary:5x2 (wraparound rings of odd length) has pairs whose
+  // monotone neighbours all fail to move closer, so the literal fallback
+  // decides there: 106 of its 600 ordered pairs.
+  const std::pair<const char*, std::uint32_t> cases[] = {
+      {"mesh:8x8", 0},    {"mesh:7x5", 0}, {"cube:6", 0},   {"mesh3:4x4x4", 0},
+      {"mesh3:3x5x2", 0}, {"kary:4x3", 0}, {"kary:5x2", 106}, {"karymesh:4x3", 0}};
+  for (const auto& [spec, expected_fallbacks] : cases) {
+    const analysis::Fixture f = analysis::make_fixture(spec);
+    const topo::Topology& t = *f.topology;
+    const ham::Labeling& lab = *f.labeling;
+    for (std::uint32_t l = 0; l < lab.size(); ++l) {
+      ASSERT_EQ(lab.label(lab.node_at(l)), l) << spec;
+    }
+    const mcast::LabelRouter router(t, lab);
+    std::uint32_t fallbacks = 0;
+    std::uint32_t mismatches = 0;
+    for (NodeId u = 0; u < t.num_nodes(); ++u) {
+      for (NodeId v = 0; v < t.num_nodes(); ++v) {
+        if (u == v) continue;
+        bool fell_back = false;
+        const NodeId expected = two_pass_next_hop(t, lab, u, v, fell_back);
+        fallbacks += fell_back ? 1 : 0;
+        if (router.next_hop(u, v) != expected) {
+          ++mismatches;
+          ADD_FAILURE() << spec << ": R(" << u << ", " << v << ") = " << router.next_hop(u, v)
+                        << ", two-pass reference " << expected;
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << spec;
+    EXPECT_EQ(fallbacks, expected_fallbacks) << spec;
+  }
+}
+
+// The mixed-radix reflected-Gray label evaluated from a node's digits
+// (dimension 0 least significant): most significant digit first, a digit
+// reflected when the node digits above it have odd parity.
+std::uint32_t gray_label_of_digits(const std::vector<std::uint32_t>& sizes,
+                                   const std::vector<std::uint32_t>& digits) {
+  std::uint32_t out = 0;
+  bool reflect = false;
+  for (std::size_t i = sizes.size(); i-- > 0;) {
+    out = out * sizes[i] + (reflect ? sizes[i] - 1 - digits[i] : digits[i]);
+    reflect ^= digits[i] % 2 == 1;
+  }
+  return out;
+}
+
+TEST(LabelRouter, MixedRadixTablesMatchDigitFormula) {
+  const topo::Mesh3D mesh(3, 5, 2);
+  const auto mesh_lab = ham::MixedRadixGrayLabeling::for_mesh3d(mesh);
+  for (NodeId u = 0; u < mesh.num_nodes(); ++u) {
+    const topo::Coord3 c = mesh.coord(u);
+    const std::vector<std::uint32_t> digits = {static_cast<std::uint32_t>(c.x),
+                                               static_cast<std::uint32_t>(c.y),
+                                               static_cast<std::uint32_t>(c.z)};
+    const std::uint32_t l = gray_label_of_digits({3, 5, 2}, digits);
+    EXPECT_EQ(mesh_lab.label(u), l) << "mesh3 node " << u;
+    EXPECT_EQ(mesh_lab.node_at(l), u) << "mesh3 label " << l;
+  }
+  const topo::KAryNCube kary(5, 2);
+  const auto kary_lab = ham::MixedRadixGrayLabeling::for_kary(kary);
+  for (NodeId u = 0; u < kary.num_nodes(); ++u) {
+    const std::vector<std::uint32_t> digits = {kary.digit(u, 0), kary.digit(u, 1)};
+    const std::uint32_t l = gray_label_of_digits({5, 5}, digits);
+    EXPECT_EQ(kary_lab.label(u), l) << "kary node " << u;
+    EXPECT_EQ(kary_lab.node_at(l), u) << "kary label " << l;
   }
 }
 

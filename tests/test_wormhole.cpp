@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <map>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/dual_path.hpp"
 #include "core/naive_tree.hpp"
@@ -297,6 +302,102 @@ TEST(Network, SelfConflictingTreeIsRejected) {
   t.delivery_links = {c};
   route.trees.push_back(t);
   EXPECT_THROW((void)worm::make_worm_specs(mesh, route, 1), std::logic_error);
+}
+
+// --- Malformed worm specs ----------------------------------------------------
+
+// A well-formed three-hop path worm 0 -> 1 -> 2 -> 3 on a 4x1 mesh,
+// delivering at depths 1 and 3; each case below breaks one field of it.
+worm::WormSpec three_hop_spec(const Mesh2D& mesh) {
+  mcast::MulticastRoute route;
+  route.source = 0;
+  mcast::PathRoute p;
+  p.nodes = {0, 1, 2, 3};
+  p.delivery_hops = {1, 3};
+  route.paths.push_back(p);
+  return worm::make_worm_specs(mesh, route, 2).front();
+}
+
+// Injects a good spec followed by `bad` and expects std::invalid_argument
+// naming spec 1 and `field`, with nothing injected; the network must then
+// still carry a good message.
+void expect_rejected(const std::function<void(worm::WormSpec&)>& corrupt,
+                     const std::string& field) {
+  const Mesh2D mesh(4, 1);
+  evsim::Scheduler sched;
+  Network net(mesh, {.flit_time = 1.0, .message_flits = 4, .channel_copies = 2}, sched);
+  Capture cap;
+  net.set_hooks(cap.hooks());
+  worm::WormSpec bad = three_hop_spec(mesh);
+  corrupt(bad);
+  std::vector<worm::WormSpec> specs;
+  specs.push_back(three_hop_spec(mesh));
+  specs.push_back(std::move(bad));
+  try {
+    net.inject(std::move(specs));
+    ADD_FAILURE() << "inject accepted a spec with a bad " << field;
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("spec 1"), std::string::npos) << what;
+    EXPECT_NE(what.find(field), std::string::npos) << what;
+  }
+  EXPECT_TRUE(net.idle());
+  EXPECT_EQ(net.messages_injected(), 0u);
+  EXPECT_EQ(net.pool().busy_count(), 0u);
+  if (!net.idle()) return;  // running on would never finish
+  net.inject({three_hop_spec(mesh)});
+  sched.run();
+  EXPECT_TRUE(net.idle());
+  EXPECT_EQ(net.messages_completed(), 1u);
+  EXPECT_EQ(cap.deliveries.size(), 2u);
+}
+
+TEST(NetworkInject, RejectsEmptyLinks) {
+  expect_rejected([](worm::WormSpec& s) { s.links.clear(); }, "links is empty");
+}
+
+TEST(NetworkInject, RejectsChannelOutOfRange) {
+  const Mesh2D mesh(4, 1);
+  expect_rejected([&](worm::WormSpec& s) { s.links[1].channel = mesh.num_channels(); },
+                  "links[1].channel");
+}
+
+TEST(NetworkInject, RejectsLinksOutOfDepthOrder) {
+  expect_rejected(
+      [](worm::WormSpec& s) {
+        s.links[1].depth = 3;
+        s.links[2].depth = 2;
+      },
+      "links[1].depth");
+}
+
+TEST(NetworkInject, RejectsDeliveryDeeperThanDeepestLink) {
+  expect_rejected([](worm::WormSpec& s) { s.deliveries.back().first = 4; },
+                  "deliveries[1].depth");
+}
+
+TEST(NetworkInject, RejectsPinnedCopyOutOfRange) {
+  expect_rejected([](worm::WormSpec& s) { s.links[0].copy = 2; }, "links[0].copy");
+}
+
+TEST(NetworkInject, RejectsOtherMalformedFields) {
+  expect_rejected([](worm::WormSpec& s) { s.links[0].depth = 0; }, "links[0].depth");
+  expect_rejected([](worm::WormSpec& s) { s.links[2].copy = -2; }, "links[2].copy");
+  expect_rejected([](worm::WormSpec& s) { std::swap(s.deliveries[0], s.deliveries[1]); },
+                  "deliveries[1].depth");
+  expect_rejected([](worm::WormSpec& s) { s.deliveries[0].first = 0; }, "deliveries[0].depth");
+  expect_rejected([](worm::WormSpec& s) { s.deliveries[0].second = 4; },
+                  "deliveries[0].destination");
+}
+
+TEST(NetworkInject, EmptySpecListIsAMessageWithoutWorms) {
+  const Mesh2D mesh(4, 1);
+  evsim::Scheduler sched;
+  Network net(mesh, {}, sched);
+  EXPECT_EQ(net.inject({}), 0u);
+  EXPECT_EQ(net.messages_injected(), 1u);
+  EXPECT_EQ(net.messages_completed(), 1u);
+  EXPECT_TRUE(net.idle());
 }
 
 }  // namespace
