@@ -53,16 +53,22 @@ struct RetryPolicy {
   double backoff_factor = 2.0;
   /// Retry jitter fraction in [0, 1): each backoff delay is scaled by a
   /// factor drawn uniformly from [1 - jitter, 1 + jitter) on a stream
-  /// seeded by (jitter_seed, operation id).  Senders whose messages drop
-  /// at the same instant then retry desynchronised instead of re-colliding
-  /// in lock-step (self-incast), while every run still replays exactly.
+  /// seeded by (jitter_seed, operation id) when the operation first backs
+  /// off; an operation that never retries seeds none.  Senders whose
+  /// messages drop at the same instant then retry desynchronised instead of
+  /// re-colliding in lock-step (self-incast), while every run still replays
+  /// exactly.
   double jitter = 0.0;
   std::uint64_t jitter_seed = 0x6d636e6574ULL;  // "mcnet"
 
   /// Throws std::invalid_argument naming the offending field when the
   /// policy cannot drive a terminating retry loop: max_attempts == 0,
   /// non-positive (or non-finite) timeout_s / backoff_initial_s,
-  /// backoff_factor < 1, or jitter outside [0, 1).
+  /// backoff_factor < 1, jitter outside [0, 1), or a worst-case span that
+  /// overflows to infinity: max_attempts * timeout_s plus the backoffs
+  /// backoff_initial_s * backoff_factor^(n-1) * (1 + jitter) for
+  /// n = 1 .. max_attempts-1.  The retries are scheduled one after another,
+  /// so past the double range a late attempt would land at +inf.
   void validate() const;
 };
 
@@ -172,14 +178,12 @@ class MulticastService {
 
   void reliable_attempt(const std::shared_ptr<ReliableOp>& op,
                         std::vector<topo::NodeId> destinations, std::uint32_t attempt);
-  void reliable_attempt_done(const std::shared_ptr<ReliableOp>& op,
-                             const std::shared_ptr<AttemptTrack>& att,
-                             std::uint32_t attempt);
+  void reliable_attempt_done(const std::shared_ptr<AttemptTrack>& att);
   static void reliable_finalize(ReliableOp& op, topo::NodeId node,
                                 DeliveryReport::Status status, std::uint32_t attempt,
                                 double latency_s);
   /// Fire the report once every destination is terminal.
-  void reliable_maybe_report(const std::shared_ptr<ReliableOp>& op);
+  void reliable_maybe_report(ReliableOp& op);
 
   struct Metrics {
     obs::Counter* multicasts = nullptr;

@@ -1,13 +1,15 @@
-// Heap-allocation budgets of the open-loop send path: routing, destination
-// sampling, channel hand-over and steady-state traffic.  This executable
-// replaces the global operator new/delete with counting versions, so the
-// counts cover every allocation in the process (the library's and the
+// Heap-allocation budgets of the send paths: routing, destination sampling,
+// channel hand-over, steady-state open-loop traffic and the reliable
+// multicast service.  This executable replaces the global operator
+// new/delete with counting versions (allocations and bytes requested), so
+// the counts cover every allocation in the process (the library's and the
 // standard library's); other test executables are unaffected.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <new>
 #include <vector>
@@ -15,6 +17,8 @@
 #include "core/router.hpp"
 #include "evsim/random.hpp"
 #include "evsim/scheduler.hpp"
+#include "fault/fault_router.hpp"
+#include "service/multicast_service.hpp"
 #include "topology/mesh2d.hpp"
 #include "wormhole/channel_pool.hpp"
 #include "wormhole/network.hpp"
@@ -23,15 +27,21 @@
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_bytes{0};
+
+void count(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
+}
 
 void* counted_alloc(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count(size);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
 
 void* counted_alloc(std::size_t size, std::align_val_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count(size);
   const auto a = static_cast<std::size_t>(align);
   const std::size_t rounded = (size + a - 1) / a * a;
   if (void* p = std::aligned_alloc(a, rounded == 0 ? a : rounded)) return p;
@@ -39,6 +49,7 @@ void* counted_alloc(std::size_t size, std::align_val_t align) {
 }
 
 std::uint64_t allocations() { return g_allocations.load(std::memory_order_relaxed); }
+std::uint64_t allocated_bytes() { return g_bytes.load(std::memory_order_relaxed); }
 
 }  // namespace
 
@@ -139,6 +150,46 @@ TEST(AllocBudget, SteadyStateDualPathTrafficPerMessage) {
   EXPECT_TRUE(net.idle());
   EXPECT_LE(static_cast<double>(allocs) / static_cast<double>(messages), 13.0)
       << allocs << " allocations for " << messages << " messages";
+}
+
+TEST(AllocBudget, ReliableMulticastPerSend) {
+  // multicast_reliable on a healthy mesh behind the bare fault-aware
+  // dual-path router: per send, the operation and its outcome list, one
+  // attempt's route, specs and track, its callback entry and the report.
+  // The byte budget also catches an eagerly seeded jitter engine, which
+  // lives inside the operation and so adds bytes but no allocation.
+  const topo::Mesh2D mesh(8, 8);
+  const fault::FaultAwareRouter router(mcast::make_router(mesh, mcast::Algorithm::kDualPath, 1),
+                                       std::make_shared<fault::FaultState>(mesh));
+  evsim::Scheduler sched;
+  svc::MulticastService service(router, worm::WormholeParams{}, sched);
+  evsim::Rng rng(16);
+  std::vector<mcast::MulticastRequest> requests;
+  for (int i = 0; i < 2000; ++i) {
+    const NodeId source = rng.uniform_int(0, mesh.num_nodes() - 1);
+    requests.push_back({source, rng.sample_destinations(mesh.num_nodes(), source, 8)});
+  }
+  std::size_t reports = 0;
+  const auto on_report = [&reports](const svc::DeliveryReport&) { ++reports; };
+  service.multicast_reliable(requests.front(), on_report);  // warm-up
+  sched.run();
+
+  std::size_t next = 1;
+  const std::function<void()> send = [&] {
+    service.multicast_reliable(requests[next], on_report);
+    if (++next < requests.size()) sched.schedule_in(20e-6, [&send] { send(); });
+  };
+  const std::uint64_t allocs_before = allocations();
+  const std::uint64_t bytes_before = allocated_bytes();
+  sched.schedule_in(20e-6, [&send] { send(); });
+  sched.run();
+  const auto sends = static_cast<double>(requests.size() - 1);
+  const double allocs = static_cast<double>(allocations() - allocs_before) / sends;
+  const double bytes = static_cast<double>(allocated_bytes() - bytes_before) / sends;
+  ASSERT_EQ(reports, requests.size());
+  EXPECT_TRUE(service.network().idle());
+  EXPECT_LE(allocs, 24.0) << "allocations per send";
+  EXPECT_LE(bytes, 3000.0) << "bytes per send";
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 // (timeout, retry/backoff, delivery reports).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -237,6 +239,41 @@ TEST(FaultService, RetryPolicyValidationNamesTheField) {
   EXPECT_NE(message_of(p).find("jitter"), std::string::npos);
   p.jitter = -0.1;
   EXPECT_NE(message_of(p).find("jitter"), std::string::npos);
+
+  // The backoff before attempt 4 (40us * 1e600) overflows to +inf: that
+  // attempt would be scheduled at infinity and drag the clock with it.
+  p = svc::RetryPolicy{};
+  p.max_attempts = 4;
+  p.timeout_s = 20e-6;
+  p.backoff_initial_s = 40e-6;
+  p.backoff_factor = 1e300;
+  const std::string overflow = message_of(p);
+  EXPECT_NE(overflow.find("backoff_factor"), std::string::npos) << overflow;
+  EXPECT_NE(overflow.find("attempt 4"), std::string::npos) << overflow;
+  p.max_attempts = 1;  // no backoff is ever taken
+  EXPECT_EQ(message_of(p), "");
+
+  // Every wait is finite (1e308, then 1.5e308), but attempt 3 is scheduled
+  // at their sum: the clock carries the earlier waits.
+  p = svc::RetryPolicy{};
+  p.max_attempts = 3;
+  p.backoff_initial_s = 1e308;
+  p.backoff_factor = 1.5;
+  const std::string sum = message_of(p);
+  EXPECT_NE(sum.find("backoff_factor"), std::string::npos) << sum;
+  EXPECT_NE(sum.find("attempt 3"), std::string::npos) << sum;
+
+  // Constant backoff with all but unlimited attempts spans finite time.
+  p = svc::RetryPolicy{};
+  p.max_attempts = std::numeric_limits<std::uint32_t>::max();
+  p.backoff_factor = 1.0;
+  EXPECT_EQ(message_of(p), "");
+
+  // test_group's 16-attempt policy: its longest backoff is 50us * 2^14.
+  p = svc::RetryPolicy{};
+  p.max_attempts = 16;
+  p.timeout_s = 500e-6;
+  EXPECT_EQ(message_of(p), "");
 }
 
 // Attempt accounting: a destination delivered on attempt n after earlier
@@ -331,14 +368,14 @@ TEST(FaultService, SynchronousInjectDeathStillFiresCallbacks) {
 // Backoff jitter: deterministic per (jitter_seed, operation), and it must
 // actually move the retry instants.
 TEST(FaultService, RetryJitterIsDeterministicAndSpreadsBackoff) {
-  const auto finish_time = [](double jitter, std::uint64_t seed) {
+  const auto finish_time = [](double jitter, std::uint64_t seed, std::uint32_t attempts) {
     worm::WormholeParams params;
     params.message_flits = 4000;  // blocks the only link past every retry
     Fixture fx(2, 1, params);
     fx.service.multicast({0, {1}});
 
     svc::RetryPolicy policy;
-    policy.max_attempts = 3;
+    policy.max_attempts = attempts;
     policy.timeout_s = 20e-6;
     policy.backoff_initial_s = 40e-6;
     policy.backoff_factor = 2.0;
@@ -353,17 +390,23 @@ TEST(FaultService, RetryJitterIsDeterministicAndSpreadsBackoff) {
   };
 
   // No jitter: timeouts at 20us + backoffs of 40us and 80us => 180us.
-  EXPECT_NEAR(finish_time(0.0, 1), 180e-6, 1e-9);
+  EXPECT_NEAR(finish_time(0.0, 1, 3), 180e-6, 1e-9);
 
-  const double a = finish_time(0.4, 1);
-  const double b = finish_time(0.4, 1);
-  const double c = finish_time(0.4, 2);
+  const double a = finish_time(0.4, 1, 3);
+  const double b = finish_time(0.4, 1, 3);
+  const double c = finish_time(0.4, 2, 3);
   EXPECT_EQ(a, b);        // same seed: exact replay
   EXPECT_NE(a, c);        // different seed: different backoff draws
   EXPECT_NE(a, 180e-6);   // jitter actually moved the schedule
   // Total delay stays within the +-40% envelope of the 120us of backoff.
   EXPECT_GT(a, 60e-6 + 0.6 * 120e-6 - 1e-9);
   EXPECT_LT(a, 60e-6 + 1.4 * 120e-6 + 1e-9);
+
+  // The exact draws of the (jitter_seed, operation id) stream, pinned; the
+  // 4-attempt case reaches its third draw.
+  EXPECT_EQ(a, 0.00016337731900896256);
+  EXPECT_EQ(c, 0.00014035813372508286);
+  EXPECT_EQ(finish_time(0.4, 1, 4), 0.00031928988414121011);
 }
 
 TEST(FaultService, ReliableRequiresFaultRouter) {
