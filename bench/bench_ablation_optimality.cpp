@@ -43,9 +43,12 @@ void add_gap_point(bench::JsonReporter& json, const std::string& series, std::ui
   json.add_point(series, std::move(p));
 }
 
-template <typename TopologyT, typename SuiteT>
-void run(const char* title, const char* prefix, const TopologyT& t, const SuiteT& suite,
+void run(const char* title, const char* prefix, const topo::Topology& t,
          bench::JsonReporter& json) {
+  const auto mp = mcast::make_router(t, Algorithm::kSortedMP);
+  const auto mc = mcast::make_router(t, Algorithm::kSortedMC);
+  const auto st = mcast::make_router(t, Algorithm::kGreedyST);
+  const auto ms = mcast::make_router(t, Algorithm::kDualPath);
   const std::uint32_t runs = bench::scaled_runs(120);
   std::printf("%s (runs/point = %u)\n", title, runs);
   std::printf("%4s | %9s %9s | %9s %9s | %9s %9s | %9s %9s\n", "k", "MP mean", "worst",
@@ -53,19 +56,19 @@ void run(const char* title, const char* prefix, const TopologyT& t, const SuiteT
   for (const std::uint32_t k : {2u, 4u, 6u, 8u}) {
     const auto [mp_mean, mp_worst] = gap(
         t, k, runs, 11 * k,
-        [&](const MulticastRequest& r) { return suite.route(Algorithm::kSortedMP, r).traffic(); },
+        [&](const MulticastRequest& r) { return mp->route(r).traffic(); },
         [&](const MulticastRequest& r) { return mcast::exact::multicast_path_optimum_bound(t, r); });
     const auto [mc_mean, mc_worst] = gap(
         t, k, runs, 13 * k,
-        [&](const MulticastRequest& r) { return suite.route(Algorithm::kSortedMC, r).traffic(); },
+        [&](const MulticastRequest& r) { return mc->route(r).traffic(); },
         [&](const MulticastRequest& r) { return mcast::exact::multicast_cycle_optimum_bound(t, r); });
     const auto [st_mean, st_worst] = gap(
         t, k, runs, 17 * k,
-        [&](const MulticastRequest& r) { return suite.route(Algorithm::kGreedyST, r).traffic(); },
+        [&](const MulticastRequest& r) { return st->route(r).traffic(); },
         [&](const MulticastRequest& r) { return mcast::exact::steiner_tree_optimum(t, r); });
     const auto [ms_mean, ms_worst] = gap(
         t, k, runs, 19 * k,
-        [&](const MulticastRequest& r) { return suite.route(Algorithm::kDualPath, r).traffic(); },
+        [&](const MulticastRequest& r) { return ms->route(r).traffic(); },
         [&](const MulticastRequest& r) { return mcast::exact::multicast_star_optimum_bound(t, r); });
     std::printf("%4u | %9.3f %9.3f | %9.3f %9.3f | %9.3f %9.3f | %9.3f %9.3f\n", k,
                 mp_mean, mp_worst, mc_mean, mc_worst, st_mean, st_worst, ms_mean, ms_worst);
@@ -84,15 +87,11 @@ int main() {
   mcnet::bench::JsonReporter json("bench_ablation_optimality");
   {
     const topo::Mesh2D mesh(8, 8);
-    const mcast::MeshRoutingSuite suite(mesh);
-    run("=== Ablation: heuristic / optimal traffic ratio, 8x8 mesh ===", "mesh", mesh, suite,
-        json);
+    run("=== Ablation: heuristic / optimal traffic ratio, 8x8 mesh ===", "mesh", mesh, json);
   }
   {
     const topo::Hypercube cube(6);
-    const mcast::CubeRoutingSuite suite(cube);
-    run("=== Ablation: heuristic / optimal traffic ratio, 6-cube ===", "cube", cube, suite,
-        json);
+    run("=== Ablation: heuristic / optimal traffic ratio, 6-cube ===", "cube", cube, json);
   }
   return 0;
 }

@@ -24,6 +24,8 @@
 #include "obs/bench_schema.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "topology/hypercube.hpp"
+#include "topology/mesh2d.hpp"
 #include "wormhole/experiment.hpp"
 
 namespace mcnet::bench {
@@ -238,6 +240,14 @@ struct StaticSeries {
   std::string name;
   std::function<mcast::MulticastRoute(const mcast::MulticastRequest&)> route;
 };
+
+/// Standard static column: `algo` routed by make_router on `t`, named
+/// after the algorithm.
+inline StaticSeries static_series(const topo::Topology& t, mcast::Algorithm algo) {
+  std::shared_ptr<const mcast::Router> router = mcast::make_router(t, algo);
+  return {std::string(mcast::algorithm_name(algo)),
+          [router](const mcast::MulticastRequest& req) { return router->route(req); }};
+}
 
 /// Print the paper-figure table: one row per destination count, one column
 /// of mean additional traffic per series.  Run counts shrink for large k

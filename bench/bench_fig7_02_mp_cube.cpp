@@ -7,17 +7,12 @@ int main() {
   using namespace mcnet;
   using mcast::Algorithm;
   const topo::Hypercube cube(10);
-  const mcast::CubeRoutingSuite suite(cube);
-
-  const auto algo = [&suite](Algorithm a) {
-    return [&suite, a](const mcast::MulticastRequest& req) { return suite.route(a, req); };
-  };
   bench::run_static_sweep(
       "=== Figure 7.2: sorted MP algorithm on a 10-cube ===", cube,
       {1, 2, 5, 10, 20, 50, 100, 150, 200, 300, 400, 500, 600, 700, 800, 900},
-      {{"sorted-MP", algo(Algorithm::kSortedMP)},
-       {"sorted-MC", algo(Algorithm::kSortedMC)},
-       {"multi-unicast", algo(Algorithm::kMultiUnicast)},
-       {"broadcast", algo(Algorithm::kBroadcast)}}, &json);
+      {bench::static_series(cube, Algorithm::kSortedMP),
+       bench::static_series(cube, Algorithm::kSortedMC),
+       bench::static_series(cube, Algorithm::kMultiUnicast),
+       bench::static_series(cube, Algorithm::kBroadcast)}, &json);
   return 0;
 }

@@ -7,17 +7,12 @@ int main() {
   using namespace mcnet;
   using mcast::Algorithm;
   const topo::Mesh2D mesh(32, 32);
-  const mcast::MeshRoutingSuite suite(mesh);
-
-  const auto algo = [&suite](Algorithm a) {
-    return [&suite, a](const mcast::MulticastRequest& req) { return suite.route(a, req); };
-  };
   bench::run_static_sweep(
       "=== Figure 7.3: greedy ST algorithm on a 32x32 mesh ===", mesh,
       {1, 2, 5, 10, 20, 50, 100, 150, 200, 300, 400, 500, 600, 700, 800, 900},
-      {{"greedy-ST", algo(Algorithm::kGreedyST)},
-       {"multi-unicast", algo(Algorithm::kMultiUnicast)},
-       {"broadcast", algo(Algorithm::kBroadcast)}},
+      {bench::static_series(mesh, Algorithm::kGreedyST),
+       bench::static_series(mesh, Algorithm::kMultiUnicast),
+       bench::static_series(mesh, Algorithm::kBroadcast)},
       &json, /*base_runs=*/600);
   return 0;
 }

@@ -8,18 +8,13 @@ int main() {
   using namespace mcnet;
   using mcast::Algorithm;
   const topo::Hypercube cube(10);
-  const mcast::CubeRoutingSuite suite(cube);
-
-  const auto algo = [&suite](Algorithm a) {
-    return [&suite, a](const mcast::MulticastRequest& req) { return suite.route(a, req); };
-  };
   bench::run_static_sweep(
       "=== Figure 7.4: greedy ST vs LEN heuristic on a 10-cube ===", cube,
       {1, 2, 5, 10, 20, 50, 100, 150, 200, 300, 400, 500, 600, 700, 800, 900},
-      {{"greedy-ST", algo(Algorithm::kGreedyST)},
-       {"LEN-tree", algo(Algorithm::kLenTree)},
-       {"multi-unicast", algo(Algorithm::kMultiUnicast)},
-       {"broadcast", algo(Algorithm::kBroadcast)}},
+      {bench::static_series(cube, Algorithm::kGreedyST),
+       bench::static_series(cube, Algorithm::kLenTree),
+       bench::static_series(cube, Algorithm::kMultiUnicast),
+       bench::static_series(cube, Algorithm::kBroadcast)},
       &json, /*base_runs=*/600);
   return 0;
 }

@@ -7,17 +7,12 @@ int main() {
   using namespace mcnet;
   using mcast::Algorithm;
   const topo::Mesh2D mesh(16, 16);
-  const mcast::MeshRoutingSuite suite(mesh);
-
-  const auto algo = [&suite](Algorithm a) {
-    return [&suite, a](const mcast::MulticastRequest& req) { return suite.route(a, req); };
-  };
   bench::run_static_sweep(
       "=== Figure 7.5: X-first vs divided greedy on a 16x16 mesh ===", mesh,
       {1, 2, 5, 10, 20, 40, 60, 80, 100, 130, 160, 200, 230},
-      {{"X-first-MT", algo(Algorithm::kXFirstMT)},
-       {"divided-greedy-MT", algo(Algorithm::kDividedGreedyMT)},
-       {"multi-unicast", algo(Algorithm::kMultiUnicast)},
-       {"broadcast", algo(Algorithm::kBroadcast)}}, &json);
+      {bench::static_series(mesh, Algorithm::kXFirstMT),
+       bench::static_series(mesh, Algorithm::kDividedGreedyMT),
+       bench::static_series(mesh, Algorithm::kMultiUnicast),
+       bench::static_series(mesh, Algorithm::kBroadcast)}, &json);
   return 0;
 }

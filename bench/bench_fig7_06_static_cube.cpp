@@ -8,17 +8,12 @@ int main() {
   using namespace mcnet;
   using mcast::Algorithm;
   const topo::Hypercube cube(6);
-  const mcast::CubeRoutingSuite suite(cube);
-
-  const auto algo = [&suite](Algorithm a) {
-    return [&suite, a](const mcast::MulticastRequest& req) { return suite.route(a, req); };
-  };
   bench::run_static_sweep(
       "=== Figure 7.6: dual-/multi-/fixed-path multicast on a 6-cube ===", cube,
       {1, 2, 4, 6, 8, 10, 15, 20, 25, 30, 40, 50, 60},
-      {{"dual-path", algo(Algorithm::kDualPath)},
-       {"multi-path", algo(Algorithm::kMultiPath)},
-       {"fixed-path", algo(Algorithm::kFixedPath)},
-       {"greedy-ST", algo(Algorithm::kGreedyST)}}, &json);
+      {bench::static_series(cube, Algorithm::kDualPath),
+       bench::static_series(cube, Algorithm::kMultiPath),
+       bench::static_series(cube, Algorithm::kFixedPath),
+       bench::static_series(cube, Algorithm::kGreedyST)}, &json);
   return 0;
 }

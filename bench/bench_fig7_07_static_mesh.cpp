@@ -8,17 +8,12 @@ int main() {
   using namespace mcnet;
   using mcast::Algorithm;
   const topo::Mesh2D mesh(8, 8);
-  const mcast::MeshRoutingSuite suite(mesh);
-
-  const auto algo = [&suite](Algorithm a) {
-    return [&suite, a](const mcast::MulticastRequest& req) { return suite.route(a, req); };
-  };
   bench::run_static_sweep(
       "=== Figure 7.7: dual-/multi-/fixed-path multicast on an 8x8 mesh ===", mesh,
       {1, 2, 4, 6, 8, 10, 15, 20, 25, 30, 40, 50, 60},
-      {{"dual-path", algo(Algorithm::kDualPath)},
-       {"multi-path", algo(Algorithm::kMultiPath)},
-       {"fixed-path", algo(Algorithm::kFixedPath)},
-       {"dc-X-first-tree", algo(Algorithm::kDCXFirstTree)}}, &json);
+      {bench::static_series(mesh, Algorithm::kDualPath),
+       bench::static_series(mesh, Algorithm::kMultiPath),
+       bench::static_series(mesh, Algorithm::kFixedPath),
+       bench::static_series(mesh, Algorithm::kDCXFirstTree)}, &json);
   return 0;
 }

@@ -35,7 +35,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/route_factory.hpp"
+#include "core/router.hpp"
 #include "evsim/legacy_heap.hpp"
 #include "evsim/scheduler.hpp"
 #include "topology/mesh2d.hpp"

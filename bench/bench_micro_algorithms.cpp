@@ -5,7 +5,6 @@
 
 #include "bench_common.hpp"
 #include "core/dual_path.hpp"
-#include "core/route_factory.hpp"
 #include "evsim/random.hpp"
 
 namespace {
@@ -17,17 +16,9 @@ const topo::Mesh2D& big_mesh() {
   static const topo::Mesh2D mesh(32, 32);
   return mesh;
 }
-const mcast::MeshRoutingSuite& mesh_suite() {
-  static const mcast::MeshRoutingSuite suite(big_mesh());
-  return suite;
-}
 const topo::Hypercube& big_cube() {
   static const topo::Hypercube cube(10);
   return cube;
-}
-const mcast::CubeRoutingSuite& cube_suite() {
-  static const mcast::CubeRoutingSuite suite(big_cube());
-  return suite;
 }
 
 mcast::MulticastRequest random_request(const topo::Topology& t, std::uint32_t k,
@@ -52,8 +43,9 @@ template <Algorithm A>
 void BM_MeshRoute(benchmark::State& state) {
   const auto k = static_cast<std::uint32_t>(state.range(0));
   const auto req = random_request(big_mesh(), k, 2);
+  const auto router = mcast::make_router(big_mesh(), A);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(mesh_suite().route(A, req));
+    benchmark::DoNotOptimize(router->route(req));
   }
   state.SetComplexityN(k);
 }
@@ -76,8 +68,9 @@ template <Algorithm A>
 void BM_CubeRoute(benchmark::State& state) {
   const auto k = static_cast<std::uint32_t>(state.range(0));
   const auto req = random_request(big_cube(), k, 3);
+  const auto router = mcast::make_router(big_cube(), A);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cube_suite().route(A, req));
+    benchmark::DoNotOptimize(router->route(req));
   }
   state.SetComplexityN(k);
 }

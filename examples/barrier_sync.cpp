@@ -10,21 +10,21 @@
 //
 //   $ ./examples/barrier_sync
 #include <cstdio>
+#include <vector>
 
-#include "core/route_factory.hpp"
+#include "core/router.hpp"
 #include "evsim/random.hpp"
 #include "evsim/scheduler.hpp"
 #include "wormhole/network.hpp"
-#include "wormhole/worm.hpp"
 
 namespace {
 
 using namespace mcnet;
 using mcast::Algorithm;
 
-double run_barrier(const mcast::MeshRoutingSuite& suite, Algorithm release_algo,
-                   std::uint8_t copies) {
-  const topo::Mesh2D& mesh = suite.mesh();
+double run_barrier(const topo::Mesh2D& mesh, Algorithm release_algo, std::uint8_t copies) {
+  const auto release_router = mcast::make_router(mesh, release_algo, copies);
+  const auto report_router = mcast::make_router(mesh, Algorithm::kDualPath, copies);
   const topo::NodeId root = mesh.node(3, 3);
   evsim::Scheduler sched;
   worm::Network net(
@@ -41,11 +41,11 @@ double run_barrier(const mcast::MeshRoutingSuite& suite, Algorithm release_algo,
     if (dest == root) {
       if (++arrived == mesh.num_nodes() - 1) {
         // Phase 2: release multicast to everyone.
-        mcast::MulticastRequest release{root, {}};
+        std::vector<topo::NodeId> everyone;
         for (topo::NodeId d = 0; d < mesh.num_nodes(); ++d) {
-          if (d != root) release.destinations.push_back(d);
+          if (d != root) everyone.push_back(d);
         }
-        net.inject(worm::make_worm_specs(mesh, suite.route(release_algo, release), copies));
+        net.inject(release_router->build(root, std::move(everyone)));
       }
     }
   };
@@ -57,9 +57,8 @@ double run_barrier(const mcast::MeshRoutingSuite& suite, Algorithm release_algo,
 
   for (topo::NodeId n = 0; n < mesh.num_nodes(); ++n) {
     if (n == root) continue;
-    sched.schedule_in(rng.uniform(0.0, 2e-6), [&net, &suite, n, root, copies] {
-      net.inject(worm::make_worm_specs(
-          suite.mesh(), suite.route(Algorithm::kDualPath, {n, {root}}), copies));
+    sched.schedule_in(rng.uniform(0.0, 2e-6), [&net, &report_router, n, root] {
+      net.inject(report_router->build(n, {root}));
     });
   }
   sched.run();
@@ -70,7 +69,6 @@ double run_barrier(const mcast::MeshRoutingSuite& suite, Algorithm release_algo,
 
 int main() {
   const topo::Mesh2D mesh(8, 8);
-  const mcast::MeshRoutingSuite suite(mesh);
 
   std::printf("barrier synchronisation on an 8x8 mesh (root (3,3), 8-byte messages)\n\n");
   std::printf("%-22s %10s %16s\n", "release multicast", "channels", "barrier time (us)");
@@ -81,7 +79,7 @@ int main() {
   for (const Row& row : {Row{Algorithm::kDualPath, 1}, Row{Algorithm::kMultiPath, 1},
                          Row{Algorithm::kFixedPath, 1}, Row{Algorithm::kBroadcast, 1},
                          Row{Algorithm::kDCXFirstTree, 2}}) {
-    const double t = run_barrier(suite, row.algo, row.copies);
+    const double t = run_barrier(mesh, row.algo, row.copies);
     std::printf("%-22s %10u %16.2f\n", std::string(algorithm_name(row.algo)).c_str(),
                 row.copies, t * 1e6);
   }

@@ -12,14 +12,14 @@
 //   $ ./examples/parallel_simulation
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <set>
 #include <vector>
 
-#include "core/route_factory.hpp"
+#include "core/router.hpp"
 #include "evsim/random.hpp"
 #include "evsim/scheduler.hpp"
 #include "wormhole/network.hpp"
-#include "wormhole/worm.hpp"
 
 namespace {
 
@@ -57,9 +57,9 @@ std::vector<Wave> make_circuit_waves(const topo::Mesh2D& mesh, std::uint32_t wav
   return result;
 }
 
-double run_circuit(const mcast::MeshRoutingSuite& suite, const std::vector<Wave>& waves,
-                   Algorithm algo, std::uint8_t copies) {
-  const topo::Mesh2D& mesh = suite.mesh();
+double run_circuit(const topo::Mesh2D& mesh, const std::vector<Wave>& waves, Algorithm algo,
+                   std::uint8_t copies) {
+  const auto router = mcast::make_router(mesh, algo, copies);
   evsim::Scheduler sched;
   worm::Network net(
       mesh, {.flit_time = 50e-9, .message_flits = 32, .channel_copies = copies}, sched);
@@ -72,8 +72,7 @@ double run_circuit(const mcast::MeshRoutingSuite& suite, const std::vector<Wave>
     const Wave& wave = waves[next_wave++];
     outstanding = wave.multicasts.size();
     for (const auto& [sender, receivers] : wave.multicasts) {
-      net.inject(worm::make_worm_specs(
-          mesh, suite.route(algo, mcast::MulticastRequest{sender, receivers}), copies));
+      net.inject(router->build(sender, receivers));
     }
   };
   hooks.on_message_done = [&](std::uint64_t, double) {
@@ -89,7 +88,6 @@ double run_circuit(const mcast::MeshRoutingSuite& suite, const std::vector<Wave>
 
 int main() {
   const topo::Mesh2D mesh(4, 4);
-  const mcast::MeshRoutingSuite suite(mesh);
   const std::vector<Wave> waves = make_circuit_waves(mesh, /*waves=*/20,
                                                      /*gates_per_node=*/6, /*seed=*/2026);
   std::size_t total_multicasts = 0;
@@ -106,7 +104,7 @@ int main() {
        {Row{Algorithm::kMultiUnicast, 1}, Row{Algorithm::kDualPath, 1},
         Row{Algorithm::kMultiPath, 1}, Row{Algorithm::kFixedPath, 1},
         Row{Algorithm::kDCXFirstTree, 2}}) {
-    const double t = run_circuit(suite, waves, row.algo, row.copies);
+    const double t = run_circuit(mesh, waves, row.algo, row.copies);
     std::printf("%-22s %10u %22.2f\n", std::string(algorithm_name(row.algo)).c_str(),
                 row.copies, t * 1e6);
   }

@@ -13,9 +13,11 @@ int main() {
   using namespace mcnet;
   using mcast::Algorithm;
 
-  // 1. Build the topology.  make_router() binds an algorithm to it
-  //    (labelings, Hamiltonian cycle and unicast routing are derived once,
-  //    up front, inside the router's suite).
+  // 1. Build the topology.  make_router() binds an algorithm to it (the
+  //    labeling, and the Hamiltonian cycle or unicast relay when the
+  //    algorithm uses one, are derived once, up front, inside the router).
+  //    dl-free is the router's claim on its channel-copy count, here the
+  //    default of one: the double-channel X-first tree needs two.
   const topo::Mesh2D mesh(8, 8);
 
   // 2. One multicast: source (3,3), seven destinations.

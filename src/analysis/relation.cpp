@@ -474,16 +474,6 @@ RoutingRelation make_relation(const Fixture& fixture, const std::string& name) {
       rel.prepare = [labeling](const MulticastRequest& r) {
         return dual_path_worms(*labeling, r);
       };
-    } else if (fixture.mesh2d != nullptr) {
-      const topo::Mesh2D* mesh = fixture.mesh2d;
-      const auto* mlab = static_cast<const ham::MeshBoustrophedonLabeling*>(labeling);
-      rel.prepare = [mesh, mlab](const MulticastRequest& r) {
-        std::vector<WormSpec> worms;
-        for (mcast::MultiPathWorm& w : mcast::multi_path_prepare(*mesh, *mlab, r)) {
-          worms.push_back({w.channel_class, r.source, w.first_hop, 0, std::move(w.targets)});
-        }
-        return worms;
-      };
     } else {
       rel.prepare = [topology, labeling](const MulticastRequest& r) {
         std::vector<WormSpec> worms;

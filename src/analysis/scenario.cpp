@@ -1,14 +1,9 @@
 #include "analysis/scenario.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "core/dc_xfirst_tree.hpp"
-#include "core/dual_path.hpp"
-#include "core/fixed_path.hpp"
-#include "core/multi_path.hpp"
-#include "core/naive_tree.hpp"
-#include "core/router.hpp"
-#include "core/xfirst_mt.hpp"
 
 namespace mcnet::analysis {
 
@@ -17,17 +12,11 @@ using mcast::Algorithm;
 Fixture make_fixture(const std::string& topology_spec) {
   Fixture f;
   f.topology = topo::make_topology(topology_spec);
-  if ((f.mesh2d = dynamic_cast<const topo::Mesh2D*>(f.topology.get()))) {
-    f.labeling = std::make_unique<ham::MeshBoustrophedonLabeling>(*f.mesh2d);
-  } else if ((f.cube = dynamic_cast<const topo::Hypercube*>(f.topology.get()))) {
-    f.labeling = std::make_unique<ham::HypercubeGrayLabeling>(*f.cube);
-  } else if ((f.mesh3d = dynamic_cast<const topo::Mesh3D*>(f.topology.get()))) {
-    f.labeling = std::make_unique<ham::MixedRadixGrayLabeling>(
-        ham::MixedRadixGrayLabeling::for_mesh3d(*f.mesh3d));
-  } else if ((f.kary = dynamic_cast<const topo::KAryNCube*>(f.topology.get()))) {
-    f.labeling = std::make_unique<ham::MixedRadixGrayLabeling>(
-        ham::MixedRadixGrayLabeling::for_kary(*f.kary));
-  }
+  f.labeling = ham::make_labeling(*f.topology);
+  f.mesh2d = dynamic_cast<const topo::Mesh2D*>(f.topology.get());
+  f.cube = dynamic_cast<const topo::Hypercube*>(f.topology.get());
+  f.mesh3d = dynamic_cast<const topo::Mesh3D*>(f.topology.get());
+  f.kary = dynamic_cast<const topo::KAryNCube*>(f.topology.get());
   return f;
 }
 
@@ -48,47 +37,25 @@ bool claimed_deadlock_free(Algorithm algorithm) {
 }
 
 Scenario make_scenario(const Fixture& fixture, Algorithm algorithm) {
+  const std::vector<Algorithm> verifiable = verifiable_algorithms(fixture);
+  if (std::find(verifiable.begin(), verifiable.end(), algorithm) == verifiable.end()) {
+    throw std::invalid_argument("algorithm " + std::string(mcast::algorithm_name(algorithm)) +
+                                " is not verifiable on " + fixture.topology->name());
+  }
   Scenario s;
   s.topology = fixture.topology.get();
   s.labeling = fixture.labeling.get();
   s.name = std::string(mcast::algorithm_name(algorithm)) + " @ " + fixture.topology->name();
 
-  const topo::Mesh2D* mesh = fixture.mesh2d;
-  const topo::Hypercube* cube = fixture.cube;
-  const topo::Topology* topology = fixture.topology.get();
-  const ham::Labeling* labeling = fixture.labeling.get();
-
   switch (algorithm) {
     case Algorithm::kXFirstMT:
-      if (mesh == nullptr) break;
-      s.route = [mesh](const mcast::MulticastRequest& r) {
-        return mcast::xfirst_mt_route(*mesh, r);
-      };
-      s.tree_semantics = TreeSemantics::kLockStep;
-      return s;
-
     case Algorithm::kEcubeMT:
-      if (cube == nullptr) break;
-      s.route = [cube](const mcast::MulticastRequest& r) {
-        return mcast::ecube_mt_route(*cube, r);
-      };
-      s.tree_semantics = TreeSemantics::kLockStep;
-      return s;
-
     case Algorithm::kBinomialBroadcast:
-      if (cube == nullptr) break;
-      s.route = [cube](const mcast::MulticastRequest& r) {
-        return mcast::binomial_broadcast_route(*cube, r);
-      };
       s.tree_semantics = TreeSemantics::kLockStep;
-      return s;
+      break;
 
-    case Algorithm::kDCXFirstTree:
-      if (mesh == nullptr) break;
-      s.route = [mesh](const mcast::MulticastRequest& r) {
-        return mcast::dc_xfirst_tree_route(*mesh, r);
-      };
-      s.tree_semantics = TreeSemantics::kIndependentBranches;
+    case Algorithm::kDCXFirstTree: {
+      const topo::Mesh2D* mesh = fixture.mesh2d;
       s.channel_copies = 2;
       s.copy_of = [mesh](std::uint8_t cls, topo::NodeId from, topo::NodeId to) {
         const topo::Coord2 a = mesh->coord(from);
@@ -97,48 +64,30 @@ Scenario make_scenario(const Fixture& fixture, Algorithm algorithm) {
                                             b.y - a.y);
       };
       s.quadrant_mesh = mesh;
-      return s;
+      break;
+    }
 
     case Algorithm::kDualPath:
-      if (labeling == nullptr) break;
-      s.route = [topology, labeling](const mcast::MulticastRequest& r) {
-        return mcast::dual_path_route(*topology, *labeling, r);
-      };
       s.label_monotone_paths = true;
       // Lemma 6.1: the label router takes shortest paths -- on meshes and
       // hypercubes.  Wraparound rings break the claim (the Hamiltonian
       // subnetworks cannot shortcut across the wrap channels).
       s.shortest_unicast = fixture.kary == nullptr || !fixture.kary->wraps();
-      return s;
+      break;
 
     case Algorithm::kMultiPath:
-      if (labeling == nullptr) break;
-      if (mesh != nullptr) {
-        const auto* mlab = static_cast<const ham::MeshBoustrophedonLabeling*>(labeling);
-        s.route = [mesh, mlab](const mcast::MulticastRequest& r) {
-          return mcast::multi_path_route(*mesh, *mlab, r);
-        };
-      } else {
-        s.route = [topology, labeling](const mcast::MulticastRequest& r) {
-          return mcast::multi_path_route(*topology, *labeling, r);
-        };
-      }
-      s.label_monotone_paths = true;
-      return s;
-
     case Algorithm::kFixedPath:
-      if (labeling == nullptr) break;
-      s.route = [topology, labeling](const mcast::MulticastRequest& r) {
-        return mcast::fixed_path_route(*topology, *labeling, r);
-      };
       s.label_monotone_paths = true;
-      return s;
+      break;
 
     default:
       break;
   }
-  throw std::invalid_argument("algorithm " + std::string(mcast::algorithm_name(algorithm)) +
-                              " is not verifiable on " + fixture.topology->name());
+
+  std::shared_ptr<const mcast::Router> router =
+      mcast::make_router(*fixture.topology, algorithm, s.channel_copies);
+  s.route = [router](const mcast::MulticastRequest& r) { return router->route(r); };
+  return s;
 }
 
 }  // namespace mcnet::analysis

@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "core/route_factory.hpp"
+#include "core/router.hpp"
 #include "topology/hamiltonian.hpp"
 #include "topology/spec.hpp"
 
@@ -37,6 +37,9 @@ using CopyFunction =
 
 /// One concrete (topology, algorithm) under static analysis.  Non-owning:
 /// the Fixture (or test) that built it keeps topology and labeling alive.
+/// make_scenario() routes through make_router(), so the analyzer checks the
+/// routes the simulator runs; `route` stays a std::function so tests can
+/// plug in fakes.
 struct Scenario {
   std::string name;
   const topo::Topology* topology = nullptr;
@@ -69,7 +72,8 @@ struct Fixture {
 };
 
 /// Parse "mesh:WxH" / "cube:N" / "mesh3:XxYxZ" / "kary:KxN" / "karymesh:KxN"
-/// and attach the matching Hamiltonian labeling.
+/// and attach the Hamiltonian labeling ham::make_labeling() picks, the one
+/// make_router() routes with.
 [[nodiscard]] Fixture make_fixture(const std::string& topology_spec);
 
 /// The multicast algorithms the analyzer can check on this fixture.

@@ -61,25 +61,21 @@ MulticastRoute route_worms(const LabelRouter& router, const MulticastRequest& re
 
 }  // namespace
 
-std::vector<MultiPathWorm> multi_path_prepare(const topo::Mesh2D& mesh,
-                                              const ham::MeshBoustrophedonLabeling& labeling,
-                                              const MulticastRequest& request) {
-  const DualPathSplit split = dual_path_prepare(labeling, request);
-  std::vector<MultiPathWorm> worms;
-  prepare_mesh_side(mesh, split.high,
-                    side_neighbors(mesh, labeling, request.source, /*high=*/true),
-                    kHighChannelClass, worms);
-  prepare_mesh_side(mesh, split.low,
-                    side_neighbors(mesh, labeling, request.source, /*high=*/false),
-                    kLowChannelClass, worms);
-  return worms;
-}
-
 std::vector<MultiPathWorm> multi_path_prepare(const topo::Topology& topology,
                                               const ham::Labeling& labeling,
                                               const MulticastRequest& request) {
   const DualPathSplit split = dual_path_prepare(labeling, request);
   std::vector<MultiPathWorm> worms;
+  const auto* mesh = dynamic_cast<const topo::Mesh2D*>(&topology);
+  if (mesh != nullptr && dynamic_cast<const ham::MeshBoustrophedonLabeling*>(&labeling)) {
+    prepare_mesh_side(*mesh, split.high,
+                      side_neighbors(topology, labeling, request.source, /*high=*/true),
+                      kHighChannelClass, worms);
+    prepare_mesh_side(*mesh, split.low,
+                      side_neighbors(topology, labeling, request.source, /*high=*/false),
+                      kLowChannelClass, worms);
+    return worms;
+  }
 
   // Fig. 6.20 step 3/4: bucket each side by the label ranges of the side's
   // neighbours.  Side lists are label-sorted, neighbour lists likewise, so
@@ -113,20 +109,6 @@ std::vector<MultiPathWorm> multi_path_prepare(const topo::Topology& topology,
   prepare_side(split.low, side_neighbors(topology, labeling, request.source, false), false,
                kLowChannelClass);
   return worms;
-}
-
-MulticastRoute multi_path_route(const topo::Mesh2D& mesh,
-                                const ham::MeshBoustrophedonLabeling& labeling,
-                                const MulticastRequest& request) {
-  return route_worms(LabelRouter(mesh, labeling), request,
-                     multi_path_prepare(mesh, labeling, request));
-}
-
-MulticastRoute multi_path_route(const topo::Hypercube& cube,
-                                const ham::HypercubeGrayLabeling& labeling,
-                                const MulticastRequest& request) {
-  return multi_path_route(static_cast<const topo::Topology&>(cube),
-                          static_cast<const ham::Labeling&>(labeling), request);
 }
 
 MulticastRoute multi_path_route(const topo::Topology& topology, const ham::Labeling& labeling,

@@ -17,8 +17,6 @@
 
 #include "core/dual_path.hpp"
 #include "core/routing_function.hpp"
-#include "topology/hypercube.hpp"
-#include "topology/mesh2d.hpp"
 
 namespace mcnet::mcast {
 
@@ -33,32 +31,19 @@ struct MultiPathWorm {
   std::vector<topo::NodeId> targets;
 };
 
-/// Splits a request into multi-path worms on the mesh (Fig. 6.14: each side
-/// of the dual-path split divided by the x-coordinates of the source's two
-/// same-side neighbours).
-[[nodiscard]] std::vector<MultiPathWorm> multi_path_prepare(
-    const topo::Mesh2D& mesh, const ham::MeshBoustrophedonLabeling& labeling,
-    const MulticastRequest& request);
-
-/// Splits a request into multi-path worms on any labeled topology
-/// (Fig. 6.20: each side bucketed by the label ranges of the source's
-/// same-side neighbours).
+/// Splits a request into multi-path worms.  On a 2-D mesh with its
+/// boustrophedon labeling each side of the dual-path split is divided by
+/// the x-coordinates of the source's two same-side neighbours (Fig. 6.14);
+/// on any other labeled topology each side is bucketed by the label ranges
+/// of the source's same-side neighbours (Fig. 6.20).
 [[nodiscard]] std::vector<MultiPathWorm> multi_path_prepare(const topo::Topology& topology,
                                                             const ham::Labeling& labeling,
                                                             const MulticastRequest& request);
 
-[[nodiscard]] MulticastRoute multi_path_route(const topo::Mesh2D& mesh,
-                                              const ham::MeshBoustrophedonLabeling& labeling,
-                                              const MulticastRequest& request);
-
-[[nodiscard]] MulticastRoute multi_path_route(const topo::Hypercube& cube,
-                                              const ham::HypercubeGrayLabeling& labeling,
-                                              const MulticastRequest& request);
-
-/// Generic multi-path for any topology with a Hamiltonian labeling (3-D
-/// meshes, k-ary n-cubes, ...): each side of the dual-path split is
-/// bucketed by the label ranges of the source's same-side neighbours, as in
-/// the hypercube variant.  Deadlock-free by the same subnetwork argument.
+/// Multi-path routing on any topology with a Hamiltonian labeling (2-D and
+/// 3-D meshes, hypercubes, k-ary n-cubes): the worms of
+/// multi_path_prepare(), each routed by R.  Deadlock-free by the same
+/// subnetwork argument on every topology.
 [[nodiscard]] MulticastRoute multi_path_route(const topo::Topology& topology,
                                               const ham::Labeling& labeling,
                                               const MulticastRequest& request);

@@ -1,10 +1,12 @@
 // Polymorphic routing layer: one `Router` seam shared by the multicast
-// service, the dynamic wormhole harness, the figure benches and the CLI
-// tools, instead of each consumer re-wiring suite + algorithm + worm-spec
-// conversion through its own std::function glue.
+// service, the dynamic wormhole harness, the figure benches, the static
+// analyzer and the CLI tools.
 //
 // A Router is bound to one topology, one algorithm and one channel-copy
 // count; it produces routes and their simulator-facing worm specs.
+// `make_router` builds the library's one concrete router, which dispatches
+// every algorithm through a single switch and holds only the labeling,
+// Hamiltonian cycle and unicast relay its algorithm uses.
 // Implementations are immutable after construction and safe to share
 // across threads, so parallel experiment sweeps can route through a single
 // instance (see CachingRouter in core/route_cache.hpp for the memoizing
@@ -18,10 +20,33 @@
 #include <utility>
 #include <vector>
 
-#include "core/route_factory.hpp"
+#include "core/multicast.hpp"
 #include "wormhole/worm.hpp"
 
 namespace mcnet::mcast {
+
+enum class Algorithm {
+  kMultiUnicast,    // baseline: one unicast per destination
+  kBroadcast,       // baseline: full broadcast tree, deliver at destinations
+  kSortedMP,        // Ch. 5 multicast path
+  kSortedMC,        // Ch. 5 multicast cycle
+  kGreedyST,        // Ch. 5 Steiner-tree heuristic
+  kXFirstMT,        // Ch. 5 X-first multicast tree (mesh; deadlock-prone worm tree)
+  kDividedGreedyMT, // Ch. 5 divided greedy multicast tree (mesh)
+  kLenTree,         // LEN greedy tree (hypercube baseline)
+  kDualPath,        // Ch. 6 dual-path (deadlock-free)
+  kMultiPath,       // Ch. 6 multi-path (deadlock-free)
+  kFixedPath,       // Ch. 6 fixed-path (deadlock-free)
+  kDCXFirstTree,    // Ch. 6 double-channel X-first tree (mesh, deadlock-free)
+  kEcubeMT,         // naive e-cube multicast tree (hypercube, deadlock-prone)
+  kBinomialBroadcast,  // nCUBE-2 broadcast tree (hypercube, deadlock-prone)
+};
+
+[[nodiscard]] std::string_view algorithm_name(Algorithm a);
+
+/// Inverse of algorithm_name(); throws std::invalid_argument on unknown
+/// names (shared by the CLI tools).
+[[nodiscard]] Algorithm parse_algorithm(std::string_view name);
 
 /// The routes of one route_many() call, element i for requests[i].
 using RouteBatch = std::vector<MulticastRoute>;
@@ -52,7 +77,9 @@ class Router {
   [[nodiscard]] virtual std::string_view name() const = 0;
   [[nodiscard]] virtual Algorithm algorithm() const = 0;
   /// True when the bound algorithm is deadlock-free under wormhole
-  /// switching (Chapter 6 path/tree algorithms and multi-unicast).
+  /// switching with the router's channel-copy count (Chapter 6 path/tree
+  /// algorithms and multi-unicast; the double-channel X-first tree needs
+  /// two copies).
   [[nodiscard]] virtual bool deadlock_free() const = 0;
   [[nodiscard]] virtual const topo::Topology& topology() const = 0;
   [[nodiscard]] virtual std::uint8_t channel_copies() const = 0;
@@ -65,84 +92,25 @@ class Router {
   }
 };
 
-/// True for the algorithms whose worm subnetworks are provably acyclic
-/// (dual-/multi-/fixed-path, the double-channel X-first tree) and for
-/// multi-unicast over the deterministic deadlock-free unicast routers.
+/// True for the algorithms whose worm subnetworks are provably acyclic on
+/// their own channel model (dual-/multi-/fixed-path; the double-channel
+/// X-first tree on two channel copies) and for multi-unicast over the
+/// deterministic deadlock-free unicast routers.
 [[nodiscard]] bool algorithm_deadlock_free(Algorithm a);
 
-/// Algorithms `make_router` accepts for this topology (mirrors what the
-/// underlying suite can route; sorted-MP/MC on an odd-by-odd mesh still
-/// throw at route() time, exactly as the suite does).
+/// Algorithms `make_router` accepts for this topology, in enum order.
+/// Sorted-MP/MC on an odd-by-odd mesh (no Hamiltonian cycle) are listed
+/// but throw std::logic_error at route() time.
 [[nodiscard]] std::vector<Algorithm> supported_algorithms(const topo::Topology& topology);
 
-/// Build a router for any supported topology (2-D mesh, hypercube, 3-D
-/// mesh, k-ary n-cube).  Throws std::invalid_argument when the topology
-/// kind is unknown or the algorithm is not applicable to it.
+/// Build a router for any topology with a Hamiltonian labeling (2-D mesh,
+/// hypercube, 3-D mesh, k-ary n-cube).  Throws std::invalid_argument when
+/// the topology kind is unknown, the algorithm is not applicable to it, or
+/// `copies` is 0.  2-D meshes get the mesh-aware spec conversion: double-
+/// channel X-first trees pin each hop to the copy its quadrant subnetwork
+/// owns.
 [[nodiscard]] std::unique_ptr<Router> make_router(const topo::Topology& topology,
                                                   Algorithm algorithm,
                                                   std::uint8_t copies = 1);
-
-/// Shared adapter state for the suite-backed routers below.
-class SuiteRouterBase : public Router {
- public:
-  [[nodiscard]] std::string_view name() const override { return algorithm_name(algorithm_); }
-  [[nodiscard]] Algorithm algorithm() const override { return algorithm_; }
-  [[nodiscard]] bool deadlock_free() const override {
-    return algorithm_deadlock_free(algorithm_);
-  }
-  [[nodiscard]] std::uint8_t channel_copies() const override { return copies_; }
-
- protected:
-  SuiteRouterBase(Algorithm algorithm, std::uint8_t copies)
-      : algorithm_(algorithm), copies_(copies) {}
-
-  Algorithm algorithm_;
-  std::uint8_t copies_;
-};
-
-/// 2-D mesh adapter (mesh-aware spec conversion: double-channel X-first
-/// trees pin each hop to the copy its quadrant subnetwork owns).
-class MeshRouter final : public SuiteRouterBase {
- public:
-  MeshRouter(const topo::Mesh2D& mesh, Algorithm algorithm, std::uint8_t copies = 1);
-
-  [[nodiscard]] MulticastRoute route(const MulticastRequest& request) const override;
-  [[nodiscard]] std::vector<worm::WormSpec> specs(const MulticastRoute& route) const override;
-  [[nodiscard]] const topo::Topology& topology() const override { return suite_.mesh(); }
-  [[nodiscard]] const MeshRoutingSuite& suite() const { return suite_; }
-
- private:
-  MeshRoutingSuite suite_;
-};
-
-/// Hypercube adapter.
-class CubeRouter final : public SuiteRouterBase {
- public:
-  CubeRouter(const topo::Hypercube& cube, Algorithm algorithm, std::uint8_t copies = 1);
-
-  [[nodiscard]] MulticastRoute route(const MulticastRequest& request) const override;
-  [[nodiscard]] std::vector<worm::WormSpec> specs(const MulticastRoute& route) const override;
-  [[nodiscard]] const topo::Topology& topology() const override { return suite_.cube(); }
-  [[nodiscard]] const CubeRoutingSuite& suite() const { return suite_; }
-
- private:
-  CubeRoutingSuite suite_;
-};
-
-/// Adapter over any topology with a Hamiltonian labeling (3-D meshes,
-/// k-ary n-cubes): the path-based deadlock-free algorithms + baselines.
-class LabeledRouter final : public SuiteRouterBase {
- public:
-  LabeledRouter(const topo::Topology& topology, std::unique_ptr<ham::Labeling> labeling,
-                Algorithm algorithm, std::uint8_t copies = 1);
-
-  [[nodiscard]] MulticastRoute route(const MulticastRequest& request) const override;
-  [[nodiscard]] std::vector<worm::WormSpec> specs(const MulticastRoute& route) const override;
-  [[nodiscard]] const topo::Topology& topology() const override { return suite_.topology(); }
-  [[nodiscard]] const LabeledRoutingSuite& suite() const { return suite_; }
-
- private:
-  LabeledRoutingSuite suite_;
-};
 
 }  // namespace mcnet::mcast

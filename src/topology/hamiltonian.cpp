@@ -1,5 +1,6 @@
 #include "topology/hamiltonian.hpp"
 
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -104,6 +105,22 @@ MixedRadixGrayLabeling MixedRadixGrayLabeling::for_kary(const topo::KAryNCube& c
   return MixedRadixGrayLabeling(
       std::vector<std::uint32_t>(cube.dimensions(), cube.radix()),
       [&cube](NodeId u, std::uint32_t dim) { return cube.digit(u, dim); });
+}
+
+std::unique_ptr<Labeling> make_labeling(const topo::Topology& topology) {
+  if (const auto* mesh = dynamic_cast<const topo::Mesh2D*>(&topology)) {
+    return std::make_unique<MeshBoustrophedonLabeling>(*mesh);
+  }
+  if (const auto* cube = dynamic_cast<const topo::Hypercube*>(&topology)) {
+    return std::make_unique<HypercubeGrayLabeling>(*cube);
+  }
+  if (const auto* mesh3 = dynamic_cast<const topo::Mesh3D*>(&topology)) {
+    return std::make_unique<MixedRadixGrayLabeling>(MixedRadixGrayLabeling::for_mesh3d(*mesh3));
+  }
+  if (const auto* kary = dynamic_cast<const topo::KAryNCube*>(&topology)) {
+    return std::make_unique<MixedRadixGrayLabeling>(MixedRadixGrayLabeling::for_kary(*kary));
+  }
+  return nullptr;
 }
 
 HamiltonCycle::HamiltonCycle(const topo::Topology& topology, std::vector<NodeId> order)

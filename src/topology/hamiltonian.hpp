@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "topology/hypercube.hpp"
@@ -118,6 +119,12 @@ class MixedRadixGrayLabeling final : public Labeling {
   [[nodiscard]] static MixedRadixGrayLabeling for_mesh3d(const topo::Mesh3D& mesh);
   [[nodiscard]] static MixedRadixGrayLabeling for_kary(const topo::KAryNCube& cube);
 };
+
+/// The labeling the Chapter 6 algorithms use on `topology`: boustrophedon
+/// on a 2-D mesh, Gray on a hypercube, mixed-radix Gray on a 3-D mesh or
+/// k-ary n-cube; nullptr for any other topology.  The labeling may keep a
+/// reference to `topology`.
+[[nodiscard]] std::unique_ptr<Labeling> make_labeling(const topo::Topology& topology);
 
 /// A Hamiltonian cycle with its position map h: h(order()[i]) == i.
 /// Validates adjacency of consecutive nodes (including the closing edge).

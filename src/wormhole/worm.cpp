@@ -83,6 +83,7 @@ WormSpec tree_to_spec(const topo::Topology& topology, const mcast::TreeRoute& tr
 std::vector<WormSpec> convert(const topo::Topology& topology,
                               const mcast::MulticastRoute& route, std::uint8_t copies,
                               const CopyFn& tree_copy) {
+  if (copies == 0) throw std::invalid_argument("make_worm_specs: copies must be at least 1");
   std::vector<WormSpec> specs;
   specs.reserve(route.paths.size() + route.trees.size());
   for (const mcast::PathRoute& p : route.paths) {

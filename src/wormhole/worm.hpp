@@ -51,7 +51,8 @@ struct WormSpec {
 /// Convert a MulticastRoute into worm specs with the generic copy policy:
 /// path worms use any copy (their subnetworks are acyclic per label
 /// direction regardless of copy), tree worms pin copy channel_class %
-/// copies.  Throws if a worm would use the same (channel, pinned copy)
+/// copies.  Throws std::invalid_argument when `copies` is 0, and
+/// std::logic_error if a worm would use the same (channel, pinned copy)
 /// twice (such a worm would self-deadlock).
 [[nodiscard]] std::vector<WormSpec> make_worm_specs(const topo::Topology& topology,
                                                     const mcast::MulticastRoute& route,

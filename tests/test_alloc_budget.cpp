@@ -80,17 +80,17 @@ TEST(AllocBudget, DualPathMeshRouteOnCleanRequests) {
   // One route: the two side lists, the path vector, and each path's node
   // and delivery vectors.
   const topo::Mesh2D mesh(8, 8);
-  const mcast::MeshRouter router(mesh, mcast::Algorithm::kDualPath, 2);
+  const auto router = mcast::make_router(mesh, mcast::Algorithm::kDualPath, 2);
   evsim::Rng rng(3);
   std::vector<mcast::MulticastRequest> requests;
   for (int i = 0; i < 500; ++i) {
     const NodeId source = rng.uniform_int(0, mesh.num_nodes() - 1);
     requests.push_back({source, rng.sample_destinations(mesh.num_nodes(), source, 10)});
   }
-  std::uint64_t traffic = router.route(requests.front()).traffic();  // thread-local set-up
+  std::uint64_t traffic = router->route(requests.front()).traffic();  // thread-local set-up
   const std::uint64_t before = allocations();
   for (const mcast::MulticastRequest& request : requests) {
-    traffic += router.route(request).traffic();
+    traffic += router->route(request).traffic();
   }
   const double per_request =
       static_cast<double>(allocations() - before) / static_cast<double>(requests.size());

@@ -16,6 +16,7 @@
 #include "analysis/relation.hpp"
 #include "analysis/scenario.hpp"
 #include "core/dual_path.hpp"
+#include "core/router.hpp"
 
 namespace {
 
@@ -108,6 +109,27 @@ TEST(Scenario, RejectsAlgorithmTopologyMismatch) {
   const auto cube = analysis::make_fixture("cube:3");
   EXPECT_THROW((void)analysis::make_scenario(cube, Algorithm::kXFirstMT),
                std::invalid_argument);
+}
+
+// The analyzer must certify the routes the simulator runs: on every
+// topology of the CI verification matrix, each verifiable algorithm's
+// scenario routes every enumerated instance exactly as make_router does.
+TEST(Scenario, RoutesAreTheSimulatorsRoutes) {
+  for (const char* spec : {"mesh:5x4", "cube:4", "mesh3:3x3x3", "kary:4x2", "karymesh:4x3"}) {
+    SCOPED_TRACE(spec);
+    const auto fixture = analysis::make_fixture(spec);
+    const auto instances =
+        analysis::enumerate_instances(*fixture.topology, AnalysisConfig{}.max_set_size, 3000);
+    ASSERT_FALSE(instances.empty());
+    for (const Algorithm a : analysis::verifiable_algorithms(fixture)) {
+      SCOPED_TRACE(std::string(mcast::algorithm_name(a)));
+      const Scenario scenario = analysis::make_scenario(fixture, a);
+      const auto router = mcast::make_router(*fixture.topology, a);
+      for (const MulticastRequest& req : instances) {
+        ASSERT_EQ(scenario.route(req), router->route(req));
+      }
+    }
+  }
 }
 
 // Hand-planted tree: two root branches of two links each, created in order

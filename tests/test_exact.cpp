@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "core/exact.hpp"
-#include "core/route_factory.hpp"
+#include "core/router.hpp"
 #include "evsim/random.hpp"
+#include "topology/hypercube.hpp"
+#include "topology/mesh2d.hpp"
 
 namespace {
 
@@ -13,6 +15,11 @@ using mcast::MulticastRequest;
 using topo::Hypercube;
 using topo::Mesh2D;
 using topo::NodeId;
+
+// Traffic of the route make_router's `a` router picks for `req` on `t`.
+std::uint64_t traffic(const topo::Topology& t, mcast::Algorithm a, const MulticastRequest& req) {
+  return mcast::make_router(t, a)->route(req).traffic();
+}
 
 TEST(AllPairs, MatchesClosedFormDistances) {
   const Mesh2D mesh(5, 4);
@@ -49,15 +56,13 @@ TEST(SteinerOptimum, HandComputedCases) {
 
 TEST(SteinerOptimum, NeverAboveGreedyHeuristic) {
   const Mesh2D mesh(6, 6);
-  const mcast::MeshRoutingSuite suite(mesh);
   evsim::Rng rng(101);
   for (int trial = 0; trial < 25; ++trial) {
     const NodeId src = rng.uniform_int(0, mesh.num_nodes() - 1);
     const std::uint32_t k = rng.uniform_int(1, 7);
     const MulticastRequest req{src, rng.sample_destinations(mesh.num_nodes(), src, k)};
     const std::uint64_t opt = mcast::exact::steiner_tree_optimum(mesh, req);
-    const std::uint64_t greedy =
-        suite.route(mcast::Algorithm::kGreedyST, req).traffic();
+    const std::uint64_t greedy = traffic(mesh, mcast::Algorithm::kGreedyST, req);
     EXPECT_LE(opt, greedy);
     // Sanity: the optimum is at least the farthest destination distance.
     std::uint32_t far = 0;
@@ -101,31 +106,29 @@ TEST(PathOptimum, HandComputedCases) {
 
 TEST(PathOptimum, LowerBoundsSortedMp) {
   const Mesh2D mesh(8, 8);
-  const mcast::MeshRoutingSuite suite(mesh);
   evsim::Rng rng(103);
   for (int trial = 0; trial < 25; ++trial) {
     const NodeId src = rng.uniform_int(0, mesh.num_nodes() - 1);
     const std::uint32_t k = rng.uniform_int(1, 9);
     const MulticastRequest req{src, rng.sample_destinations(mesh.num_nodes(), src, k)};
     const std::uint64_t bound = mcast::exact::multicast_path_optimum_bound(mesh, req);
-    EXPECT_LE(bound, suite.route(mcast::Algorithm::kSortedMP, req).traffic());
+    EXPECT_LE(bound, traffic(mesh, mcast::Algorithm::kSortedMP, req));
     EXPECT_LE(mcast::exact::multicast_cycle_optimum_bound(mesh, req),
-              suite.route(mcast::Algorithm::kSortedMC, req).traffic());
+              traffic(mesh, mcast::Algorithm::kSortedMC, req));
   }
 }
 
 TEST(StarOptimum, LowerBoundsDualAndMultiPath) {
   const Mesh2D mesh(8, 8);
-  const mcast::MeshRoutingSuite suite(mesh);
   evsim::Rng rng(107);
   for (int trial = 0; trial < 25; ++trial) {
     const NodeId src = rng.uniform_int(0, mesh.num_nodes() - 1);
     const std::uint32_t k = rng.uniform_int(1, 8);
     const MulticastRequest req{src, rng.sample_destinations(mesh.num_nodes(), src, k)};
     const std::uint64_t bound = mcast::exact::multicast_star_optimum_bound(mesh, req);
-    EXPECT_LE(bound, suite.route(mcast::Algorithm::kDualPath, req).traffic());
-    EXPECT_LE(bound, suite.route(mcast::Algorithm::kMultiPath, req).traffic());
-    EXPECT_LE(bound, suite.route(mcast::Algorithm::kFixedPath, req).traffic());
+    EXPECT_LE(bound, traffic(mesh, mcast::Algorithm::kDualPath, req));
+    EXPECT_LE(bound, traffic(mesh, mcast::Algorithm::kMultiPath, req));
+    EXPECT_LE(bound, traffic(mesh, mcast::Algorithm::kFixedPath, req));
     // And the model hierarchy of Chapter 3: star <= path, tree <= star.
     EXPECT_LE(bound, mcast::exact::multicast_path_optimum_bound(mesh, req));
     EXPECT_LE(mcast::exact::steiner_tree_optimum(mesh, req), bound);

@@ -10,7 +10,7 @@
 #include <set>
 #include <thread>
 
-#include "core/route_factory.hpp"
+#include "core/router.hpp"
 #include "evsim/random.hpp"
 #include "evsim/scheduler.hpp"
 #include "fault/fault_injector.hpp"

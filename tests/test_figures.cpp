@@ -4,16 +4,19 @@
 // binaries.
 #include <gtest/gtest.h>
 
-#include "core/route_factory.hpp"
+#include <functional>
+#include <memory>
+
 #include "core/router.hpp"
 #include "evsim/random.hpp"
+#include "topology/hypercube.hpp"
+#include "topology/mesh2d.hpp"
 #include "wormhole/experiment.hpp"
 
 namespace {
 
 using namespace mcnet;
 using mcast::Algorithm;
-using mcast::MeshRoutingSuite;
 using mcast::MulticastRequest;
 using topo::Mesh2D;
 using topo::NodeId;
@@ -29,6 +32,13 @@ double mean_additional(const topo::Topology& t,
     total += static_cast<double>(f(req).additional_traffic(k));
   }
   return total / runs;
+}
+
+// `a`'s route function on `t`, backed by the router make_router builds.
+std::function<mcast::MulticastRoute(const MulticastRequest&)> route_fn(const topo::Topology& t,
+                                                                       Algorithm a) {
+  std::shared_ptr<const mcast::Router> router = mcast::make_router(t, a);
+  return [router](const MulticastRequest& r) { return router->route(r); };
 }
 
 worm::DynamicResult run_point(const Mesh2D& mesh, Algorithm algo, std::uint8_t copies,
@@ -51,11 +61,8 @@ worm::DynamicResult run_point(const Mesh2D& mesh, Algorithm algo, std::uint8_t c
 // broadcast everywhere on a 32x32 mesh.
 TEST(FigureShapes, Fig71SortedMpBeatsBaselines) {
   const Mesh2D mesh(32, 32);
-  const MeshRoutingSuite suite(mesh);
-  const auto mp = [&](const MulticastRequest& r) { return suite.route(Algorithm::kSortedMP, r); };
-  const auto uni = [&](const MulticastRequest& r) {
-    return suite.route(Algorithm::kMultiUnicast, r);
-  };
+  const auto mp = route_fn(mesh, Algorithm::kSortedMP);
+  const auto uni = route_fn(mesh, Algorithm::kMultiUnicast);
   for (const std::uint32_t k : {50u, 200u, 500u}) {
     EXPECT_LT(mean_additional(mesh, mp, k, 60, k), mean_additional(mesh, uni, k, 60, k))
         << "k=" << k;
@@ -67,9 +74,8 @@ TEST(FigureShapes, Fig71SortedMpBeatsBaselines) {
 // on the hypercube.
 TEST(FigureShapes, Fig74GreedyStBeatsLen) {
   const topo::Hypercube cube(8);
-  const mcast::CubeRoutingSuite suite(cube);
-  const auto st = [&](const MulticastRequest& r) { return suite.route(Algorithm::kGreedyST, r); };
-  const auto len = [&](const MulticastRequest& r) { return suite.route(Algorithm::kLenTree, r); };
+  const auto st = route_fn(cube, Algorithm::kGreedyST);
+  const auto len = route_fn(cube, Algorithm::kLenTree);
   for (const std::uint32_t k : {20u, 60u, 120u}) {
     EXPECT_LT(mean_additional(cube, st, k, 80, k + 1),
               mean_additional(cube, len, k, 80, k + 1))
@@ -81,10 +87,7 @@ TEST(FigureShapes, Fig74GreedyStBeatsLen) {
 // to dual-path for large ones; multi-path <= dual-path on average.
 TEST(FigureShapes, Fig77PathTrafficOrdering) {
   const Mesh2D mesh(8, 8);
-  const MeshRoutingSuite suite(mesh);
-  const auto make = [&](Algorithm a) {
-    return [&suite, a](const MulticastRequest& r) { return suite.route(a, r); };
-  };
+  const auto make = [&mesh](Algorithm a) { return route_fn(mesh, a); };
   const double dual_small = mean_additional(mesh, make(Algorithm::kDualPath), 4, 200, 1);
   const double fixed_small = mean_additional(mesh, make(Algorithm::kFixedPath), 4, 200, 1);
   EXPECT_GT(fixed_small, 2.0 * dual_small);

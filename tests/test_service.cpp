@@ -1,11 +1,16 @@
-// The multicast service layer and the generic labeled routing suite.
+// The multicast service layer and routing on the labeled 3-D mesh and
+// k-ary n-cube topologies.
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <vector>
 
 #include "core/router.hpp"
 #include "evsim/random.hpp"
 #include "evsim/scheduler.hpp"
 #include "service/multicast_service.hpp"
-#include "topology/hamiltonian.hpp"
+#include "topology/kary_ncube.hpp"
+#include "topology/mesh3d.hpp"
 
 namespace {
 
@@ -53,42 +58,38 @@ TEST(MulticastService, CallbackCanSendAgain) {
 
 TEST(LabeledSuite, WorksOnMesh3DAndKAry) {
   const topo::Mesh3D mesh(3, 3, 3);
-  mcast::LabeledRoutingSuite suite(
-      mesh, std::make_unique<ham::MixedRadixGrayLabeling>(
-                ham::MixedRadixGrayLabeling::for_mesh3d(mesh)));
+  std::vector<std::unique_ptr<mcast::Router>> routers;
+  for (const Algorithm a : {Algorithm::kMultiUnicast, Algorithm::kBroadcast,
+                            Algorithm::kDualPath, Algorithm::kMultiPath,
+                            Algorithm::kFixedPath}) {
+    routers.push_back(mcast::make_router(mesh, a));
+  }
   evsim::Rng rng(501);
   for (int trial = 0; trial < 15; ++trial) {
     const topo::NodeId src = rng.uniform_int(0, mesh.num_nodes() - 1);
     const std::uint32_t k = rng.uniform_int(1, 10);
     const mcast::MulticastRequest req{src,
                                       rng.sample_destinations(mesh.num_nodes(), src, k)};
-    for (const Algorithm a : {Algorithm::kMultiUnicast, Algorithm::kBroadcast,
-                              Algorithm::kDualPath, Algorithm::kMultiPath,
-                              Algorithm::kFixedPath}) {
-      SCOPED_TRACE(std::string(mcast::algorithm_name(a)));
-      verify_route(mesh, req, suite.route(a, req));
+    for (const auto& router : routers) {
+      SCOPED_TRACE(std::string(router->name()));
+      verify_route(mesh, req, router->route(req));
     }
   }
-  EXPECT_THROW((void)suite.route(Algorithm::kGreedyST, {0, {1}}), std::invalid_argument);
+  EXPECT_THROW((void)mcast::make_router(mesh, Algorithm::kGreedyST), std::invalid_argument);
 
   const topo::KAryNCube kary(3, 3);
-  mcast::LabeledRoutingSuite ksuite(
-      kary, std::make_unique<ham::MixedRadixGrayLabeling>(
-                ham::MixedRadixGrayLabeling::for_kary(kary)));
   const mcast::MulticastRequest req{0, {5, 13, 26}};
   for (const Algorithm a :
        {Algorithm::kDualPath, Algorithm::kMultiPath, Algorithm::kFixedPath}) {
-    verify_route(kary, req, ksuite.route(a, req));
+    verify_route(kary, req, mcast::make_router(kary, a)->route(req));
   }
 }
 
 TEST(LabeledSuite, BroadcastIsSpanningTreeUnderLabelRouting) {
   const topo::Mesh3D mesh(3, 2, 2);
-  mcast::LabeledRoutingSuite suite(
-      mesh, std::make_unique<ham::MixedRadixGrayLabeling>(
-                ham::MixedRadixGrayLabeling::for_mesh3d(mesh)));
   const mcast::MulticastRequest req{0, {11}};
-  const mcast::MulticastRoute route = suite.route(Algorithm::kBroadcast, req);
+  const mcast::MulticastRoute route =
+      mcast::make_router(mesh, Algorithm::kBroadcast)->route(req);
   EXPECT_EQ(route.traffic(), mesh.num_nodes() - 1);
 }
 

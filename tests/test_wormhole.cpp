@@ -12,6 +12,7 @@
 
 #include "core/dual_path.hpp"
 #include "core/naive_tree.hpp"
+#include "core/xfirst_mt.hpp"
 #include "evsim/random.hpp"
 #include "topology/hamiltonian.hpp"
 #include "topology/hypercube.hpp"
@@ -350,6 +351,25 @@ void expect_rejected(const std::function<void(worm::WormSpec&)>& corrupt,
   EXPECT_TRUE(net.idle());
   EXPECT_EQ(net.messages_completed(), 1u);
   EXPECT_EQ(cap.deliveries.size(), 2u);
+}
+
+// Zero channel copies used to reach the tree copy policy's modulo and
+// crash with a division by zero.
+TEST(WormSpecs, RejectZeroChannelCopies) {
+  const topo::Mesh2D mesh(4, 4);
+  const mcast::MulticastRoute tree = mcast::xfirst_mt_route(mesh, {5, {0, 15}});
+  const auto expect_rejected = [](const auto& convert) {
+    try {
+      (void)convert();
+      ADD_FAILURE() << "zero channel copies accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("copies"), std::string::npos) << e.what();
+    }
+  };
+  expect_rejected([&] { return worm::make_worm_specs(mesh, tree, 0); });
+  expect_rejected([&] {
+    return worm::make_worm_specs(static_cast<const topo::Topology&>(mesh), tree, 0);
+  });
 }
 
 TEST(NetworkInject, RejectsEmptyLinks) {

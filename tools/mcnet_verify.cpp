@@ -29,7 +29,7 @@
 #include "arg_parser.hpp"
 #include "cdg/analyzers.hpp"
 #include "cdg/channel_graph.hpp"
-#include "core/route_factory.hpp"
+#include "core/router.hpp"
 #include "obs/json.hpp"
 
 namespace {
