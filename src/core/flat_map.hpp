@@ -4,9 +4,11 @@
 //
 // One contiguous allocation per map instead of one node per entry: with
 // thousands of concurrent groups, each holding per-member sender windows,
-// detector rows, and receiver streams, the node-based maps dominated both
+// detector rows and incarnations, the node-based maps dominated both
 // memory traffic and cache misses.  Keys stay sorted, so lookups are
 // binary searches over a dense array and iteration is a linear scan.
+// State looked up on every delivery wants no search at all: GroupService
+// keeps its receiver streams in a table indexed by member slot.
 //
 // Semantics intentionally differ from std::map in one way that callers
 // must respect: insertion and erasure invalidate ALL iterators and

@@ -152,6 +152,11 @@ class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
 
+  /// Containers parse by recursion, so their nesting is capped: a document
+  /// of deeply nested brackets fails by name instead of overflowing the
+  /// stack.
+  static constexpr int kMaxDepth = 256;
+
   std::optional<Json> run(std::string* error) {
     std::optional<Json> value = parse_value();
     if (value) {
@@ -200,9 +205,16 @@ class Parser {
     }
     switch (text_[pos_]) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        if (depth_ == kMaxDepth) {
+          error_ = "nesting deeper than " + std::to_string(kMaxDepth) + " levels";
+          return std::nullopt;
+        }
+        ++depth_;
+        std::optional<Json> value = text_[pos_] == '{' ? parse_object() : parse_array();
+        --depth_;
+        return value;
+      }
       case '"': {
         std::optional<std::string> s = parse_string();
         if (!s) return std::nullopt;
@@ -365,6 +377,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // containers open around pos_
   std::string error_ = "parse error";
 };
 

@@ -18,6 +18,8 @@
 //  * any reference into a FlatMap is dropped before a callback fires and
 //    re-found afterwards (advance_window / stream_update loop one step
 //    per call-out);
+//  * the stream table grows when join() gives a node its first slot, so
+//    stream references follow the same rule;
 //  * PendingMsg::dests is fixed at launch and only mutated in place, so
 //    references into it stay valid across callbacks.
 
@@ -31,6 +33,16 @@ constexpr std::uint64_t kHeartbeatPhaseSeed = 0x67727068ULL;  // "grph"
 
 // EWMA weight for heartbeat interarrival smoothing.
 constexpr double kInterarrivalAlpha = 0.25;
+
+// A group's receiver streams live in one vector over (receiver slot,
+// sender slot) pairs, laid out shell by shell: the pairs whose larger slot
+// is k occupy [k*k, (k+1)*(k+1)).  Slots below k thus fill the first k*k
+// entries, and assigning slot k appends its 2k + 1 streams without moving
+// any other stream's index.
+std::size_t stream_index(std::uint32_t receiver, std::uint32_t sender) {
+  const std::size_t k = std::max(receiver, sender);
+  return k * k + (receiver == k ? sender : k + 1 + receiver);
+}
 
 }  // namespace
 
@@ -65,6 +77,18 @@ void GroupConfig::validate() const {
 
 bool MembershipView::contains(topo::NodeId n) const {
   return std::binary_search(members.begin(), members.end(), n);
+}
+
+void GroupService::Group::assign_slot(topo::NodeId node) {
+  if (slot_of[node] != kNoSlot) return;
+  const std::uint32_t k = num_slots++;
+  slot_of[node] = k;
+  streams.resize(std::size_t{num_slots} * num_slots);
+}
+
+std::optional<GroupService::ReceiverStream>& GroupService::Group::stream(
+    topo::NodeId receiver, topo::NodeId sender) {
+  return streams[stream_index(slot_of[receiver], slot_of[sender])];
 }
 
 GroupService::GroupService(MulticastService& service, GroupConfig config)
@@ -111,7 +135,11 @@ GroupId GroupService::create_group(std::vector<topo::NodeId> members) {
   Group& g = *groups_.back();
   g.id = id;
   g.incarnation.reserve(members.size());
-  for (const topo::NodeId m : members) g.incarnation[m] = 1;
+  g.slot_of.assign(num_nodes, Group::kNoSlot);
+  for (const topo::NodeId m : members) {
+    g.incarnation[m] = 1;
+    g.assign_slot(m);
+  }
   install_view(g, std::move(members));
   for (const topo::NodeId m : g.view.members) start_heartbeat(id, m, 1);
   schedule_sweep(id);
@@ -135,6 +163,7 @@ void GroupService::join(GroupId group, topo::NodeId node) {
   std::vector<topo::NodeId> members = g.view.members;
   members.push_back(node);
 
+  g.assign_slot(node);
   reset_joiner_streams(g, node);
 
   install_view(g, std::move(members));
@@ -175,25 +204,21 @@ void GroupService::reset_joiner_streams(Group& g, topo::NodeId joiner) {
 
     const auto sit = g.senders.find(m);
     const SeqNum m_floor = sit == g.senders.end() ? 0 : sit->second.next_seq;
-    const auto in_key = std::make_pair(joiner, m);
-    auto in_it = g.streams.find(in_key);
-    if (in_it == g.streams.end()) {
-      g.streams.try_emplace(in_key, ReceiverStream{m_floor, {}});
+    std::optional<ReceiverStream>& in = g.stream(joiner, m);
+    if (!in) {
+      in.emplace(ReceiverStream{m_floor, {}});
     } else {
-      ReceiverStream& s = in_it->second;
-      if (m_floor > s.next) s.next = m_floor;
+      if (m_floor > in->next) in->next = m_floor;
       // Entries below the floor belong to the joiner's previous
       // incarnation; they can never surface and would only pin memory.
-      const SeqNum floor = s.next;
-      s.pending.retain([floor](const SeqNum& q, bool) { return q >= floor; });
+      const SeqNum floor = in->next;
+      in->pending.retain([floor](const SeqNum& q, bool) { return q >= floor; });
     }
 
     // A continuous member's progress through the joiner's in-flight sends
     // is never reset -- only streams that do not exist yet are created.
-    const auto out_key = std::make_pair(m, joiner);
-    if (g.streams.find(out_key) == g.streams.end()) {
-      g.streams.try_emplace(out_key, ReceiverStream{joiner_floor(m), {}});
-    }
+    std::optional<ReceiverStream>& out = g.stream(m, joiner);
+    if (!out) out.emplace(ReceiverStream{joiner_floor(m), {}});
   }
 }
 
@@ -318,17 +343,7 @@ void GroupService::install_view(Group& g, std::vector<topo::NodeId> members) {
   // The install has fully settled: evicted destinations hold terminal
   // outcomes, their reports fired, windows advanced.  Collective layers
   // restart from here.
-  if (!view_settled_hooks_.empty()) {
-    std::vector<std::uint64_t> handles;
-    handles.reserve(view_settled_hooks_.size());
-    for (const auto& [h, fn] : view_settled_hooks_) handles.push_back(h);
-    for (const std::uint64_t h : handles) {
-      const auto it = view_settled_hooks_.find(h);
-      if (it == view_settled_hooks_.end()) continue;  // removed by an earlier hook
-      ViewFn fn = it->second;  // copy: the hook may remove itself
-      fn(g.id, g.view);
-    }
-  }
+  fire_hooks(view_settled_hooks_, g.id, g.view);
 }
 
 void GroupService::start_heartbeat(GroupId group, topo::NodeId node,
@@ -758,18 +773,17 @@ void GroupService::fire_report(Group& g, topo::NodeId sender, const PendingMsg& 
 
 void GroupService::stream_update(Group& g, topo::NodeId receiver, topo::NodeId sender,
                                  SeqNum seq, bool deliverable) {
-  const auto key = std::make_pair(receiver, sender);
   {
-    ReceiverStream& stream = g.streams[key];
+    std::optional<ReceiverStream>& entry = g.stream(receiver, sender);
+    ReceiverStream& stream = entry ? *entry : entry.emplace();
     if (seq < stream.next) return;  // before this receiver's join floor
     stream.pending.insert_or_assign(seq, deliverable);
   }
-  // Surface in-order deliveries one at a time, re-finding the stream after
-  // each: notify_delivery runs user code that can insert new streams.
+  // Surface in-order deliveries one at a time, looking the stream up again
+  // after each: notify_delivery runs user code whose join() can grow the
+  // stream table.
   for (;;) {
-    const auto it = g.streams.find(key);
-    if (it == g.streams.end()) return;
-    ReceiverStream& stream = it->second;
+    ReceiverStream& stream = g.stream(receiver, sender).value();
     if (stream.pending.empty() || stream.pending.begin()->first != stream.next) return;
     const bool ok = stream.pending.begin()->second;
     stream.pending.erase(stream.pending.begin());
@@ -786,15 +800,21 @@ void GroupService::stream_update(Group& g, topo::NodeId receiver, topo::NodeId s
 void GroupService::notify_delivery(GroupId group, topo::NodeId receiver,
                                    topo::NodeId sender, SeqNum seq, ViewId view) {
   if (app_delivery_) app_delivery_(group, receiver, sender, seq, view);
-  if (delivery_hooks_.empty()) return;
-  std::vector<std::uint64_t> handles;
-  handles.reserve(delivery_hooks_.size());
-  for (const auto& [h, fn] : delivery_hooks_) handles.push_back(h);
-  for (const std::uint64_t h : handles) {
-    const auto it = delivery_hooks_.find(h);
-    if (it == delivery_hooks_.end()) continue;  // removed by an earlier hook
-    AppDeliveryFn fn = it->second;  // copy: the hook may remove itself
-    fn(group, receiver, sender, seq, view);
+  fire_hooks(delivery_hooks_, group, receiver, sender, seq, view);
+}
+
+template <typename Fn, typename... Args>
+void GroupService::fire_hooks(util::FlatMap<std::uint64_t, Fn>& hooks, const Args&... args) {
+  // Walk the table in place instead of snapshotting its handles: a hook
+  // added meanwhile has a handle at or above `limit`, and one removed by an
+  // earlier hook is no longer found.
+  const std::uint64_t limit = next_hook_;
+  for (std::uint64_t h = 0;;) {
+    const auto it = hooks.lower_bound(h);
+    if (it == hooks.end() || it->first >= limit) return;
+    h = it->first + 1;
+    Fn fn = it->second;  // copy: the hook may remove itself
+    fn(args...);
   }
 }
 

@@ -45,6 +45,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -296,11 +297,12 @@ class GroupService {
     util::FlatMap<SeqNum, bool> pending;        // seq -> deliverable (false = hole)
   };
 
-  /// Per-group state.  All associative members are FlatMaps (sorted
-  /// vectors) so thousands of concurrent groups stay cache-dense; the
-  /// price is that inserts invalidate references, which the .cpp handles
-  /// by pre-populating per-member entries at view installs and re-finding
-  /// entries after any callback boundary.
+  /// Per-group state.  Per-member maps are FlatMaps (sorted vectors) so
+  /// thousands of concurrent groups stay cache-dense; the price is that
+  /// inserts invalidate references, which the .cpp handles by
+  /// pre-populating per-member entries at view installs and re-finding
+  /// entries after any callback boundary.  The receiver streams, touched
+  /// on every delivery, are indexed by member slot instead.
   struct Group {
     GroupId id = 0;
     MembershipView view;
@@ -311,8 +313,23 @@ class GroupService {
     util::FlatMap<topo::NodeId, SenderState> senders;
     /// observer -> subject -> heartbeat bookkeeping.
     util::FlatMap<topo::NodeId, util::FlatMap<topo::NodeId, HeartbeatTrack>> detector;
-    /// (receiver, sender) -> in-order stream state.
-    util::FlatMap<std::pair<topo::NodeId, topo::NodeId>, ReceiverStream> streams;
+    /// Member slot per topology node, kNoSlot until the node first becomes
+    /// a member.  Slots are dense, handed out in order of first membership
+    /// and never reused, so a group holds (members ever)^2 streams.
+    std::vector<std::uint32_t> slot_of;
+    std::uint32_t num_slots = 0;
+    /// (receiver slot, sender slot) -> in-order stream state, empty until
+    /// the stream is first used; laid out by stream_index() in the .cpp.
+    std::vector<std::optional<ReceiverStream>> streams;
+
+    static constexpr std::uint32_t kNoSlot = 0xffffffffU;
+
+    /// Give `node` the next slot unless it already holds one; grows
+    /// `streams` by the new slot's row and column.
+    void assign_slot(topo::NodeId node);
+    /// The (receiver, sender) stream entry; both nodes must hold slots.
+    /// Invalidated by assign_slot, i.e. by any join().
+    std::optional<ReceiverStream>& stream(topo::NodeId receiver, topo::NodeId sender);
   };
 
   Group& group_at(GroupId group);
@@ -360,6 +377,11 @@ class GroupService {
                      bool deliverable);
   void notify_delivery(GroupId group, topo::NodeId receiver, topo::NodeId sender,
                        SeqNum seq, ViewId view);
+  /// Call, in handle order, every hook of `hooks` that was registered
+  /// before this call and is still registered when its turn comes (hooks
+  /// may add and remove hooks while it runs).
+  template <typename Fn, typename... Args>
+  void fire_hooks(util::FlatMap<std::uint64_t, Fn>& hooks, const Args&... args);
   void update_stalled(SenderState& st);
 
   struct Metrics {

@@ -1,14 +1,22 @@
 #include "topology/mesh2d.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 
 namespace mcnet::topo {
 
 Mesh2D::Mesh2D(std::uint32_t width, std::uint32_t height)
     : width_(width), height_(height) {
   if (width == 0 || height == 0) throw std::invalid_argument("mesh dimensions must be positive");
-  const std::uint32_t n = width * height;
+  const std::uint64_t nodes = std::uint64_t{width} * height;
+  if (nodes > kMaxNodes) {
+    throw std::invalid_argument("mesh " + std::to_string(width) + "x" + std::to_string(height) +
+                                " exceeds the topology limit of " + std::to_string(kMaxNodes) +
+                                " nodes");
+  }
+  const auto n = static_cast<std::uint32_t>(nodes);
   std::vector<std::vector<NodeId>> adj(n);
   for (std::uint32_t id = 0; id < n; ++id) {
     const Coord2 c = {static_cast<std::int32_t>(id % width), static_cast<std::int32_t>(id / width)};

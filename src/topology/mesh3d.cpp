@@ -1,7 +1,9 @@
 #include "topology/mesh3d.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 
 namespace mcnet::topo {
 
@@ -10,7 +12,16 @@ Mesh3D::Mesh3D(std::uint32_t nx, std::uint32_t ny, std::uint32_t nz)
   if (nx == 0 || ny == 0 || nz == 0) {
     throw std::invalid_argument("mesh dimensions must be positive");
   }
-  const std::uint32_t n = nx * ny * nz;
+  // Two 32-bit factors fit in 64 bits; the third multiplies a count
+  // already checked against the cap.
+  std::uint64_t nodes = std::uint64_t{nx} * ny;
+  if (nodes <= kMaxNodes) nodes *= nz;
+  if (nodes > kMaxNodes) {
+    throw std::invalid_argument("mesh3 " + std::to_string(nx) + "x" + std::to_string(ny) + "x" +
+                                std::to_string(nz) + " exceeds the topology limit of " +
+                                std::to_string(kMaxNodes) + " nodes");
+  }
+  const auto n = static_cast<std::uint32_t>(nodes);
   std::vector<std::vector<NodeId>> adj(n);
   for (std::uint32_t id = 0; id < n; ++id) {
     const Coord3 c = coord(id);

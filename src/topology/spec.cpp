@@ -1,7 +1,10 @@
 #include "topology/spec.hpp"
 
+#include <charconv>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <system_error>
 #include <vector>
 
 #include "topology/hypercube.hpp"
@@ -16,28 +19,25 @@ std::unique_ptr<Topology> make_topology(const std::string& spec) {
   if (colon == std::string::npos) throw std::invalid_argument("topology needs kind:dims");
   const std::string kind = spec.substr(0, colon);
   const std::string dims = spec.substr(colon + 1);
+  // Dimensions are 'x'-separated runs of decimal digits: no sign, no
+  // space, no empty run (a trailing 'x' ends in one).
   const auto parse_dims = [&spec, &dims] {
     std::vector<std::uint32_t> out;
     std::size_t pos = 0;
-    while (pos < dims.size()) {
+    for (;;) {
       const std::size_t x = dims.find('x', pos);
       const std::string part = dims.substr(pos, x == std::string::npos ? x : x - pos);
-      std::size_t used = 0;
-      unsigned long value = 0;
-      try {
-        value = std::stoul(part, &used);
-      } catch (const std::exception&) {
-        used = 0;
-      }
-      if (used != part.size() || part.empty() || value > 0xffffffffUL) {
+      std::uint32_t value = 0;
+      const char* const end = part.data() + part.size();
+      const auto [ptr, ec] = std::from_chars(part.data(), end, value);
+      if (ec != std::errc() || ptr != end) {
         throw std::invalid_argument("topology \"" + spec + "\" has a bad dimension \"" +
                                     part + "\" (expected kind:NxM...)");
       }
-      out.push_back(static_cast<std::uint32_t>(value));
-      if (x == std::string::npos) break;
+      out.push_back(value);
+      if (x == std::string::npos) return out;
       pos = x + 1;
     }
-    return out;
   };
 
   if (kind == "mesh") {

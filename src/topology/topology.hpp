@@ -26,6 +26,10 @@ inline constexpr NodeId kInvalidNode = static_cast<NodeId>(-1);
 /// Sentinel for "no channel".
 inline constexpr ChannelId kInvalidChannel = static_cast<ChannelId>(-1);
 
+/// Largest node count a topology may have.  Constructors reject larger
+/// shapes before allocating anything.
+inline constexpr std::uint32_t kMaxNodes = 1u << 22;
+
 /// A directed channel endpoint pair.
 struct ChannelEnds {
   NodeId from = kInvalidNode;

@@ -1,6 +1,6 @@
 // Heap-allocation budgets of the send paths: routing, destination sampling,
-// channel hand-over, steady-state open-loop traffic and the reliable
-// multicast service.  This executable replaces the global operator
+// channel hand-over, steady-state open-loop traffic, the reliable
+// multicast service and group sends.  This executable replaces the global operator
 // new/delete with counting versions (allocations and bytes requested), so
 // the counts cover every allocation in the process (the library's and the
 // standard library's); other test executables are unaffected.
@@ -18,6 +18,7 @@
 #include "evsim/random.hpp"
 #include "evsim/scheduler.hpp"
 #include "fault/fault_router.hpp"
+#include "service/group_service.hpp"
 #include "service/multicast_service.hpp"
 #include "topology/mesh2d.hpp"
 #include "wormhole/channel_pool.hpp"
@@ -190,6 +191,47 @@ TEST(AllocBudget, ReliableMulticastPerSend) {
   EXPECT_TRUE(service.network().idle());
   EXPECT_LE(allocs, 24.0) << "allocations per send";
   EXPECT_LE(bytes, 3000.0) << "bytes per send";
+}
+
+TEST(AllocBudget, GroupSendPerSend) {
+  // Full-group sends over GroupService, 16 members on 8x8 with one
+  // delivery hook (as coll::Collective registers) and the heartbeat and
+  // detector loops stopped: per send, the pending message and its owed
+  // set, the reliable multicast below it, and nothing per in-order
+  // delivery -- hook dispatch walks the hook table in place.
+  const topo::Mesh2D mesh(8, 8);
+  const fault::FaultAwareRouter router(mcast::make_router(mesh, mcast::Algorithm::kDualPath, 1),
+                                       std::make_shared<fault::FaultState>(mesh));
+  evsim::Scheduler sched;
+  svc::MulticastService service(router, worm::WormholeParams{}, sched);
+  svc::GroupService groups(service);
+  std::vector<NodeId> members;
+  for (NodeId n = 0; n < 64; n += 4) members.push_back(n);
+  const svc::GroupId gid = groups.create_group(members);
+  groups.stop();
+  std::uint64_t hooked = 0;
+  groups.add_delivery_hook(
+      [&hooked](svc::GroupId, NodeId, NodeId, svc::SeqNum, svc::ViewId) { ++hooked; });
+  groups.send(gid, members.front());  // warm-up: the view announcement and one send
+  sched.run();
+
+  constexpr int kSends = 1000;
+  int next = 0;
+  const std::function<void()> send = [&] {
+    groups.send(gid, members[static_cast<std::size_t>(next) % members.size()]);
+    if (++next < kSends) sched.schedule_in(20e-6, [&send] { send(); });
+  };
+  const std::uint64_t hooked_before = hooked;
+  const std::uint64_t allocs_before = allocations();
+  const std::uint64_t bytes_before = allocated_bytes();
+  sched.schedule_in(20e-6, [&send] { send(); });
+  sched.run();
+  const double allocs = static_cast<double>(allocations() - allocs_before) / kSends;
+  const double bytes = static_cast<double>(allocated_bytes() - bytes_before) / kSends;
+  ASSERT_EQ(hooked - hooked_before, static_cast<std::uint64_t>(kSends) * (members.size() - 1));
+  EXPECT_TRUE(service.network().idle());
+  EXPECT_LE(allocs, 34.0) << "allocations per send";
+  EXPECT_LE(bytes, 5000.0) << "bytes per send";
 }
 
 }  // namespace

@@ -2,14 +2,19 @@
 // in-order delivery, and the heartbeat failure detector.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
 #include <map>
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "evsim/random.hpp"
 #include "evsim/scheduler.hpp"
 #include "fault/fault_router.hpp"
 #include "obs/metrics.hpp"
+#include "service/churn.hpp"
 #include "service/group_service.hpp"
 #include "topology/mesh2d.hpp"
 
@@ -538,6 +543,157 @@ TEST(GroupService, DeliveryAndViewSettledHooksFireAndRemove) {
   EXPECT_EQ(hook_deliveries, hook_before);
   EXPECT_EQ(settled.size(), 2u);
   EXPECT_GT(app_count, app_before);
+}
+
+// FNV-1a over the little-endian bytes of `v`.
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xffU;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(GroupService, ChurnDeliveryOrderIsPinned) {
+  // Seeded churn on 8x8 -- joins of nodes that were never members, leaves
+  // and crashes -- under full-group and subset sends from rotating
+  // members.  Per (receiver, sender) the surfaced seqs must strictly
+  // increase, an oracle that does not read the stream code; the whole
+  // (receiver, sender, seq, view) delivery sequence is pinned by count and
+  // hash, so a change to how streams are stored cannot reorder, drop or
+  // add a delivery unnoticed.
+  Fixture fx(8, 8);
+  svc::GroupConfig cfg;
+  cfg.window_size = 4;
+  // Heartbeats slow enough that the detector evicts crashed members, not
+  // congested live ones.
+  cfg.heartbeat_period_s = 500e-6;
+  cfg.sweep_period_s = 500e-6;
+  cfg.suspicion_min_timeout_s = 3e-3;
+  svc::GroupService groups(fx.service, cfg);
+
+  std::vector<topo::NodeId> init;
+  for (topo::NodeId n = 0; n < 64; n += 4) init.push_back(n);
+  std::vector<topo::NodeId> cand;
+  for (topo::NodeId n = 0; n < 64; ++n) cand.push_back(n);
+  const auto gid = groups.create_group(init);
+
+  svc::ChurnConfig cc;
+  cc.t_begin_s = 100e-6;
+  cc.t_end_s = 2e-3;
+  cc.events_per_s = 6e3;
+  cc.seed = 2;
+  const auto schedule = svc::ChurnSchedule::random(init, cand, cc);
+  std::set<topo::NodeId> ever(init.begin(), init.end());
+  std::size_t fresh_joins = 0;
+  for (const svc::ChurnEvent& e : schedule.events) {
+    if (e.kind == svc::ChurnEvent::Kind::kJoin && ever.insert(e.node).second) ++fresh_joins;
+  }
+  ASSERT_GE(fresh_joins, 2u);
+  ASSERT_GE(schedule.count(svc::ChurnEvent::Kind::kLeave), 1u);
+  ASSERT_GE(schedule.count(svc::ChurnEvent::Kind::kCrash), 1u);
+  schedule_churn(groups, gid, fx.sched, schedule);
+
+  std::map<std::pair<topo::NodeId, topo::NodeId>, svc::SeqNum> last;
+  std::uint64_t deliveries = 0;
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  groups.on_app_delivery([&](svc::GroupId, topo::NodeId recv, topo::NodeId snd,
+                             svc::SeqNum seq, svc::ViewId view) {
+    const auto [it, first] = last.try_emplace({recv, snd}, seq);
+    if (!first) {
+      EXPECT_GT(seq, it->second) << "stream " << snd << " -> " << recv;
+      it->second = seq;
+    }
+    ++deliveries;
+    for (const std::uint64_t v : {std::uint64_t{recv}, std::uint64_t{snd}, seq, view}) {
+      hash = fnv1a(hash, v);
+    }
+  });
+
+  // Every 30us a random member sends: to the whole group on even ticks, to
+  // a random half of the other members on odd ones.
+  evsim::Rng rng(11);
+  std::function<void(int)> pump = [&](int tick) {
+    const double t = 120e-6 + 30e-6 * tick;
+    if (t >= cc.t_end_s) return;
+    fx.sched.schedule_at(t, [&groups, gid, &rng, &pump, tick] {
+      const auto& members = groups.view(gid).members;
+      const topo::NodeId sender =
+          members[rng.uniform_int(0, static_cast<std::uint32_t>(members.size()) - 1)];
+      std::vector<topo::NodeId> dests;
+      for (const topo::NodeId m : members) {
+        if (m != sender && rng.uniform_int(0, 1) == 1) dests.push_back(m);
+      }
+      if (tick % 2 == 0 || dests.empty()) {
+        groups.send(gid, sender);
+      } else {
+        groups.send_to(gid, sender, dests);
+      }
+      pump(tick + 1);
+    });
+  };
+  pump(0);
+  fx.sched.schedule_at(cc.t_end_s + 4e-3, [&] { groups.stop(); });
+  fx.sched.run();
+
+  EXPECT_GE(groups.stats().joins, fresh_joins);
+  EXPECT_EQ(groups.stats().evictions, 1u);  // the crashed member, no false positive
+  EXPECT_EQ(deliveries, 749u);
+  EXPECT_EQ(hash, 0xae16663996d6d782ULL);
+}
+
+TEST(GroupService, JoinInsideDeliveryHookKeepsSurfacing) {
+  // On the 4x4 mesh's boustrophedon labels, node 0's full-group send to
+  // {3, 4} is one dual-path worm 0-1-2-3-7-6-5-4, while its subset send to
+  // {4} takes link 0-4 directly: seq 1 reaches node 4 first and waits
+  // there behind seq 0.  When seq 0 lands, node 4's stream surfaces seq 0
+  // and seq 1 in one pass.  A delivery hook joins never-member 15 on seq 0,
+  // which grows the group's stream storage in the middle of that pass;
+  // seq 1 must still surface, and the joiner's streams must work.
+  Fixture fx(4, 4);
+  svc::GroupService groups(fx.service);
+  const auto gid = groups.create_group({0, 3, 4});
+
+  struct Surfaced {
+    svc::SeqNum seq;
+    svc::ViewId view;
+    double t;
+  };
+  std::vector<Surfaced> from0_at4;
+  groups.add_delivery_hook([&](svc::GroupId g, topo::NodeId recv, topo::NodeId snd,
+                               svc::SeqNum seq, svc::ViewId view) {
+    if (recv != 4 || snd != 0) return;
+    from0_at4.push_back({seq, view, fx.sched.now()});
+    if (seq == 0) groups.join(g, 15);
+  });
+  std::map<std::pair<topo::NodeId, topo::NodeId>, std::vector<svc::SeqNum>> seen;
+  groups.on_app_delivery([&](svc::GroupId, topo::NodeId recv, topo::NodeId snd,
+                             svc::SeqNum seq, svc::ViewId) {
+    seen[{recv, snd}].push_back(seq);
+  });
+
+  groups.send(gid, 0);           // seq 0 to {3, 4}
+  groups.send_to(gid, 0, {4});   // seq 1 to {4}; a plugged hole at 3
+  fx.sched.schedule_at(1e-3, [&groups, gid] {
+    groups.send(gid, 0);   // seq 2 to {3, 4, 15}
+    groups.send(gid, 15);  // the joiner's seq 0 to {0, 3, 4}
+  });
+  fx.sched.schedule_at(3e-3, [&] { groups.stop(); });
+  fx.sched.run();
+
+  ASSERT_GE(from0_at4.size(), 2u);
+  EXPECT_EQ(from0_at4[0].seq, 0u);
+  EXPECT_EQ(from0_at4[0].view, 1u);
+  EXPECT_EQ(from0_at4[1].seq, 1u);
+  EXPECT_EQ(from0_at4[1].view, 2u);             // surfaced after the join ...
+  EXPECT_EQ(from0_at4[1].t, from0_at4[0].t);    // ... in the same pass as seq 0
+  EXPECT_TRUE(groups.view(gid).contains(15));
+
+  using Seqs = std::vector<svc::SeqNum>;
+  EXPECT_EQ((seen[{4, 0}]), (Seqs{0, 1, 2}));
+  EXPECT_EQ((seen[{3, 0}]), (Seqs{0, 2}));
+  EXPECT_EQ((seen[{15, 0}]), (Seqs{2}));  // the joiner floors at 0's next seq
+  for (const topo::NodeId m : {0u, 3u, 4u}) EXPECT_EQ((seen[{m, 15}]), (Seqs{0})) << m;
 }
 
 TEST(GroupService, ManyGroupsScaleWithFlatStorage) {

@@ -70,6 +70,33 @@ TEST(Json, ParseRejectsMalformedInput) {
   }
 }
 
+TEST(Json, ParseRejectsNestingDeeperThanTheLimit) {
+  // Containers parse by recursion: nesting past 256 levels must fail with
+  // a named error at the offending bracket, never overflow the stack.
+  const std::string unterminated(100000, '[');
+  const std::string balanced = unterminated + std::string(100000, ']');
+  const std::string objects = [] {
+    std::string text;
+    for (int i = 0; i < 100000; ++i) text += "{\"a\":";
+    return text;
+  }();
+  for (const std::string* doc : {&unterminated, &balanced, &objects}) {
+    std::string error;
+    EXPECT_FALSE(Json::parse(*doc, &error).has_value());
+    EXPECT_NE(error.find("nesting deeper than 256 levels"), std::string::npos) << error;
+    const std::size_t offset = doc == &objects ? 256 * 5 : 256;
+    EXPECT_NE(error.find("(at byte " + std::to_string(offset) + ")"), std::string::npos)
+        << error;
+  }
+
+  const std::string deepest = std::string(256, '[') + std::string(256, ']');
+  std::string error;
+  const auto doc = Json::parse(deepest, &error);
+  ASSERT_TRUE(doc.has_value()) << error;
+  EXPECT_EQ(doc->dump(), deepest);
+  EXPECT_FALSE(Json::parse("[" + deepest + "]", &error).has_value());
+}
+
 TEST(Json, ParseHandlesUnicodeEscapes) {
   const auto doc = Json::parse("\"a\\u0041\\u00e9b\"");
   ASSERT_TRUE(doc.has_value());

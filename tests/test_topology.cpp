@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "topology/hypercube.hpp"
 #include "topology/kary_ncube.hpp"
 #include "topology/mesh2d.hpp"
 #include "topology/mesh3d.hpp"
+#include "topology/spec.hpp"
 
 namespace {
 
@@ -227,6 +230,43 @@ TEST(Topology, InvalidConstruction) {
   EXPECT_THROW(Hypercube(0), std::invalid_argument);
   EXPECT_THROW(Hypercube(25), std::invalid_argument);
   EXPECT_THROW(KAryNCube(1, 2), std::invalid_argument);
+}
+
+// `spec` must throw std::invalid_argument whose message contains `part`.
+void expect_rejected(const std::string& spec, const std::string& part) {
+  try {
+    (void)make_topology(spec);
+    ADD_FAILURE() << spec << " was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(part), std::string::npos) << spec << ": " << e.what();
+  }
+}
+
+TEST(TopologySpec, NodeCountsAboveTheCapAreRejectedByName) {
+  // In 32 bits 65536 x 65536 wraps to a 0-node mesh and 65537 x 65536 to
+  // a 65536-node one with out-of-range adjacency; every shape above 2^22
+  // nodes must fail naming its dimensions, before anything is allocated.
+  expect_rejected("mesh:65536x65536",
+                  "mesh 65536x65536 exceeds the topology limit of 4194304 nodes");
+  expect_rejected("mesh:65537x65536", "mesh 65537x65536 exceeds the topology limit");
+  expect_rejected("mesh:4194305x1", "mesh 4194305x1 exceeds the topology limit");
+  expect_rejected("mesh3:2048x2048x1024",
+                  "mesh3 2048x2048x1024 exceeds the topology limit of 4194304 nodes");
+  expect_rejected("mesh3:4294967295x4294967295x4294967295", "exceeds the topology limit");
+  expect_rejected("mesh3:1x1x4194305", "mesh3 1x1x4194305 exceeds the topology limit");
+  EXPECT_EQ(make_topology("mesh:2048x16")->num_nodes(), 2048u * 16u);
+}
+
+TEST(TopologySpec, DimensionsAreDigitsOnly) {
+  for (const char* spec : {"mesh:4x4x", "mesh:+4x4", "mesh: 4x4", "mesh:4x 4", "mesh:4x4 ",
+                           "mesh:-0x4", "mesh:x4", "mesh:4xx4", "mesh:", "cube:+3",
+                           "mesh3:2x2x2x", "kary:4x2x", "mesh:4294967296x1"}) {
+    expect_rejected(spec, "bad dimension");
+  }
+  EXPECT_EQ(make_topology("mesh:4x3")->num_nodes(), 12u);
+  EXPECT_EQ(make_topology("mesh3:2x3x4")->num_nodes(), 24u);
+  EXPECT_EQ(make_topology("cube:3")->num_nodes(), 8u);
+  EXPECT_EQ(make_topology("kary:4x2")->num_nodes(), 16u);
 }
 
 }  // namespace
