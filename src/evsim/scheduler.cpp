@@ -15,12 +15,7 @@ Scheduler::~Scheduler() = default;
 
 // --- slab arena -------------------------------------------------------
 
-std::uint32_t Scheduler::alloc_slot() {
-  if (free_head_ != kNil) {
-    const std::uint32_t slot = free_head_;
-    free_head_ = event(slot).next;
-    return slot;
-  }
+std::uint32_t Scheduler::alloc_fresh_slot() {
   if ((next_unused_ >> kSlabShift) == slabs_.size()) {
     slabs_.emplace_back(new Event[kSlabSize]);
   }
@@ -32,6 +27,7 @@ void Scheduler::free_slot(std::uint32_t slot) {
   ev.fn.destroy();  // idempotent; already destroyed for cancelled events
   ev.state = State::kFree;
   ev.in_overflow = false;
+  ev.in_lane = false;
   ++ev.gen;  // invalidate outstanding EventIds for this slot
   ev.next = free_head_;
   free_head_ = slot;
@@ -39,8 +35,7 @@ void Scheduler::free_slot(std::uint32_t slot) {
 
 // --- time admission ---------------------------------------------------
 
-SimTime Scheduler::admit_time(SimTime t) const {
-  if (t >= now_) return t;  // NaN fails this and falls through to the throw
+SimTime Scheduler::admit_past(SimTime t) const {
   // Derived-time arithmetic (e.g. `t0 + (depth + l - 1 - p) * tau`) can
   // undershoot now() by a few ulp; clamp those, reject anything worse.
   const double slack =
@@ -147,6 +142,9 @@ void Scheduler::compact_overflow() {
 }
 
 void Scheduler::enqueue(std::uint32_t slot, SimTime t) {
+  // An insert ahead of the cached head (or into an empty calendar) becomes
+  // the new head; later inserts leave the cache valid.
+  if (cal_known_ && (cal_head_ == kNil || t < cal_t_)) cal_known_ = false;
   std::uint64_t b = bucket_of(t);
   if (b >= win_lo_ + (mask_ + 1)) {
     overflow_push(slot);
@@ -232,30 +230,87 @@ std::uint32_t Scheduler::skim() {
   }
 }
 
-void Scheduler::dispatch(std::uint32_t slot) {
-  Bucket& bk = buckets_[cur_ & mask_];
-  Event& ev = event(slot);
-  bk.head = ev.next;
-  if (bk.head == kNil) {
-    bk.tail = kNil;
-    // The next dispatch comes from a later bucket; probe a few ahead (the
-    // bucket array is contiguous, so this is ~one extra cache line) and
-    // start their head events' lines towards the core while the handler
-    // below runs.  Pure hint: a handler-scheduled earlier event just makes
-    // the prefetch useless, never wrong.
-    int found = 0;
-    for (std::uint64_t k = 1; k <= 8 && found < 2; ++k) {
-      const std::uint32_t h = buckets_[(cur_ + k) & mask_].head;
-      if (h != kNil) {
-        __builtin_prefetch(&event(h));
-        ++found;
-      }
-    }
-  } else {
-    // The chain successor is the likeliest next dispatch.
-    __builtin_prefetch(&event(bk.head));
+// --- FIFO lane --------------------------------------------------------
+
+void Scheduler::register_lane_delay(SimTime dt) {
+  if (!(dt > 0.0) || !std::isfinite(dt)) {
+    throw std::invalid_argument("lane delay must be positive and finite");
   }
-  --in_window_;
+  lane_horizon_ = std::max(lane_horizon_, 1.5 * dt);
+}
+
+void Scheduler::lane_grow() {
+  // Unroll the ring into the front of a ring twice the size.
+  std::vector<std::uint32_t> grown(std::max<std::size_t>(64, 2 * lane_.size()), kNil);
+  for (std::uint32_t i = 0; i < lane_size_; ++i) grown[i] = lane_[(lane_head_ + i) & lane_mask_];
+  lane_ = std::move(grown);
+  lane_mask_ = static_cast<std::uint32_t>(lane_.size() - 1);
+  lane_head_ = 0;
+}
+
+std::uint32_t Scheduler::next_event() {
+  // The lane's live head; cancelled carcasses are freed as they surface.
+  std::uint32_t lane = kNil;
+  while (lane_size_ != 0) {
+    const std::uint32_t s = lane_[lane_head_];
+    if (event(s).state != State::kCancelled) {
+      lane = s;
+      break;
+    }
+    lane_pop();
+    free_slot(s);
+  }
+  if (!cal_known_) {
+    cal_head_ = skim();
+    cal_known_ = true;
+    if (cal_head_ != kNil) {
+      cal_t_ = event(cal_head_).t;
+      cal_seq_ = event(cal_head_).seq;
+    }
+  }
+  if (lane == kNil) return cal_head_;
+  if (cal_head_ == kNil) return lane;
+  // Both structures are (t, seq)-sorted, so the earlier head is the
+  // global next event: the merge reproduces calendar-only order exactly.
+  const Event& ev = event(lane);
+  if (cal_t_ < ev.t || (cal_t_ == ev.t && cal_seq_ < ev.seq)) return cal_head_;
+  return lane;
+}
+
+void Scheduler::dispatch(std::uint32_t slot) {
+  Event& ev = event(slot);
+  const bool from_lane = ev.in_lane;
+  if (from_lane) {
+    lane_pop();
+    // The ring successor is the likeliest next dispatch.
+    if (lane_size_ != 0) __builtin_prefetch(&event(lane_[lane_head_]));
+    --lane_live_;
+    ++lane_dispatched_;
+  } else {
+    cal_known_ = false;  // the cached head is leaving the calendar
+    Bucket& bk = buckets_[cur_ & mask_];
+    bk.head = ev.next;
+    if (bk.head == kNil) {
+      bk.tail = kNil;
+      // The next dispatch comes from a later bucket; probe a few ahead (the
+      // bucket array is contiguous, so this is ~one extra cache line) and
+      // start their head events' lines towards the core while the handler
+      // below runs.  Pure hint: a handler-scheduled earlier event just
+      // makes the prefetch useless, never wrong.
+      int found = 0;
+      for (std::uint64_t k = 1; k <= 8 && found < 2; ++k) {
+        const std::uint32_t h = buckets_[(cur_ + k) & mask_].head;
+        if (h != kNil) {
+          __builtin_prefetch(&event(h));
+          ++found;
+        }
+      }
+    } else {
+      // The chain successor is the likeliest next dispatch.
+      __builtin_prefetch(&event(bk.head));
+    }
+    --in_window_;
+  }
   // kRunning (not freed) while the handler executes: a cancel() aimed at
   // the running event is a defined no-op, and the handle only goes stale
   // when the slot is freed below.
@@ -263,14 +318,17 @@ void Scheduler::dispatch(std::uint32_t slot) {
   now_ = ev.t;
   ++dispatched_;
   --live_;
-  if (ev.t > last_dispatch_t_) {
-    const double gap = ev.t - last_dispatch_t_;
-    gap_ewma_ = gap_ewma_ == 0.0 ? gap : 0.875 * gap_ewma_ + 0.125 * gap;
-  }
-  last_dispatch_t_ = ev.t;
-  if (--retune_countdown_ == 0) {
-    retune_countdown_ = kRetunePeriod;
-    maybe_retune();
+  if (!from_lane) {
+    // The width tunes to the calendar's own dispatch gaps.
+    if (ev.t > last_dispatch_t_) {
+      const double gap = ev.t - last_dispatch_t_;
+      gap_ewma_ = gap_ewma_ == 0.0 ? gap : 0.875 * gap_ewma_ + 0.125 * gap;
+    }
+    last_dispatch_t_ = ev.t;
+    if (--retune_countdown_ == 0) {
+      retune_countdown_ = kRetunePeriod;
+      maybe_retune();
+    }
   }
   // Destroy-and-free runs on the success path and the throw path alike
   // (the run_until exception contract).  The callable executes in place;
@@ -284,8 +342,9 @@ void Scheduler::dispatch(std::uint32_t slot) {
 }
 
 void Scheduler::rebuild(std::uint64_t nbuckets, double width, bool estimate_width) {
+  cal_known_ = false;  // cur_ moves; the head is found again by skim
   std::vector<std::uint32_t> slots;
-  slots.reserve(live_);
+  slots.reserve(live_ - lane_live_);
   for (Bucket& bk : buckets_) {
     std::uint32_t s = bk.head;
     while (s != kNil) {
@@ -367,9 +426,9 @@ void Scheduler::maybe_overload_rebuild() {
   // Hysteresis: one estimating rebuild per doubling of the population, so
   // a pile-up the estimator cannot separate (e.g. mass ties) degrades to
   // plain sorted inserts instead of a rebuild storm.
-  if (live_ < 2 * overload_mark_) return;
+  if (live_ - lane_live_ < 2 * overload_mark_) return;
   rebuild(mask_ + 1, width_, /*estimate_width=*/true);
-  overload_mark_ = live_;
+  overload_mark_ = live_ - lane_live_;
 }
 
 void Scheduler::maybe_retune() {
@@ -392,6 +451,9 @@ bool Scheduler::cancel(EventId id) {
   ev.fn.destroy();  // release captured resources immediately
   --live_;
   ++cancelled_;
+  // A lane carcass is freed when it reaches the lane's head.
+  if (ev.in_lane) --lane_live_;
+  if (id.slot_ == cal_head_) cal_known_ = false;  // skim discards it
   // In-bucket carcasses die when the scan reaches them (soon: the window
   // covers the near future).  Overflow carcasses could sit for an
   // arbitrarily long sim-time, so compact once they outnumber live
@@ -401,7 +463,7 @@ bool Scheduler::cancel(EventId id) {
 }
 
 bool Scheduler::step() {
-  const std::uint32_t slot = skim();
+  const std::uint32_t slot = next_event();
   if (slot == kNil) return false;
   dispatch(slot);
   return true;
@@ -416,7 +478,7 @@ std::uint64_t Scheduler::run() {
 std::uint64_t Scheduler::run_until(SimTime t_end) {
   std::uint64_t n = 0;
   for (;;) {
-    const std::uint32_t slot = skim();
+    const std::uint32_t slot = next_event();
     if (slot == kNil || event(slot).t > t_end) break;
     dispatch(slot);  // on throw: counted in events_dispatched(), clock at ev.t
     ++n;

@@ -11,17 +11,24 @@
 //     extract at wormhole timescales -- with a binary-heap overflow band
 //     for sparse far-future events (timeouts, fault plans), so a 1 s
 //     timeout never degrades the 50 ns flit traffic.
+//   * Beside the calendar, a FIFO lane (a ring of event slots) takes each
+//     event due within a registered lane delay of now() and no earlier
+//     than the lane's newest event -- the worm simulator's one-flit-time
+//     hops.  Dispatch takes whichever of the lane's head and the
+//     calendar's (cached) head comes first by (time, schedule order).
 //   * schedule_at/schedule_in return an EventId cancellation handle;
 //     cancel() destroys the callable immediately (releasing its captures)
-//     and the carcass is discarded lazily when its bucket drains.
+//     and the carcass is discarded lazily when its bucket drains or it
+//     reaches the lane's head.
 //
 // Determinism rules (pinned by the Kernel test suites and the golden
 // replay):
 //   * Dispatch order is strict (time, schedule order): ties at one
 //     timestamp run FIFO in the order they were scheduled, including
 //     events scheduled from inside a running handler at the current time.
-//   * The calendar geometry (bucket count, width, window position) never
-//     affects dispatch order -- it is a performance knob only.
+//   * The calendar geometry (bucket count, width, window position) and
+//     the lane's admission never affect dispatch order -- they are
+//     performance knobs only.
 //
 // Exception contract: if a handler throws (from step/run/run_until), the
 // throwing event counts as dispatched, its callable is destroyed, the
@@ -80,10 +87,15 @@ class Scheduler {
   template <typename F>
   EventId schedule_at(SimTime t, F&& f) {
     t = admit_time(t);
+    // Lane admission: due within the lane delay and no earlier than the
+    // lane's newest event, so the ring stays sorted by (t, seq).
+    const bool to_lane = t <= now_ + lane_horizon_ && t >= lane_tail_t_;
     // Start the destination bucket's line towards the core now; the
     // alloc + capture construction below overlaps the fetch.  (For
     // far-future times this prefetches a harmless arbitrary bucket.)
-    __builtin_prefetch(&buckets_[static_cast<std::size_t>(bucket_of(t) & mask_)], 1);
+    if (!to_lane) {
+      __builtin_prefetch(&buckets_[static_cast<std::size_t>(bucket_of(t) & mask_)], 1);
+    }
     const std::uint32_t slot = alloc_slot();
     Event& ev = event(slot);
     ev.t = t;
@@ -91,9 +103,14 @@ class Scheduler {
     ev.fn.emplace(std::forward<F>(f));
     ev.state = State::kQueued;
     const EventId id(slot, ev.gen);
-    enqueue(slot, t);
     ++live_;
-    if (live_ > (mask_ + 1) / 2 && mask_ + 1 < kMaxBuckets) grow();
+    if (to_lane) {
+      ev.in_lane = true;
+      lane_push(slot, t);
+      return id;
+    }
+    enqueue(slot, t);
+    if (live_ - lane_live_ > (mask_ + 1) / 2 && mask_ + 1 < kMaxBuckets) grow();
     if (overloaded_) maybe_overload_rebuild();
     return id;
   }
@@ -132,6 +149,15 @@ class Scheduler {
   [[nodiscard]] double bucket_width() const { return width_; }
   [[nodiscard]] std::size_t overflow_size() const { return overflow_.size(); }
 
+  /// Open the FIFO lane for events due within 1.5 x `dt` of now() (half a
+  /// `dt` of slack absorbs derived-time arithmetic such as
+  /// `t0 + k * dt`).  With several registrations the largest delay wins;
+  /// a scheduler nobody registers with dispatches from the calendar only.
+  /// The lane never changes dispatch order, only where events wait.
+  void register_lane_delay(SimTime dt);
+  /// Events dispatched from the lane (a subset of events_dispatched()).
+  [[nodiscard]] std::uint64_t lane_dispatched() const { return lane_dispatched_; }
+
  private:
   enum class State : std::uint8_t { kFree, kQueued, kCancelled, kRunning };
 
@@ -145,6 +171,7 @@ class Scheduler {
     std::uint32_t gen = 0;      // bumped on slot free; validates EventIds
     State state = State::kFree;
     bool in_overflow = false;  // lives in the overflow heap, not a bucket
+    bool in_lane = false;      // lives in the FIFO lane, not the calendar
     EventFn fn;
   };
 
@@ -166,7 +193,14 @@ class Scheduler {
   [[nodiscard]] Event& event(std::uint32_t i) {
     return slabs_[i >> kSlabShift][i & (kSlabSize - 1)];
   }
-  std::uint32_t alloc_slot();
+  std::uint32_t alloc_slot() {
+    if (free_head_ == kNil) return alloc_fresh_slot();
+    const std::uint32_t slot = free_head_;
+    free_head_ = event(slot).next;
+    return slot;
+  }
+  /// Slow path of alloc_slot: the freelist is empty.
+  std::uint32_t alloc_fresh_slot();
   void free_slot(std::uint32_t slot);
 
   // --- calendar queue -------------------------------------------------
@@ -176,7 +210,10 @@ class Scheduler {
     return static_cast<std::uint64_t>(b);
   }
   /// Clamp + validate a schedule time (ulp slack, throw on the past/NaN).
-  [[nodiscard]] SimTime admit_time(SimTime t) const;
+  [[nodiscard]] SimTime admit_time(SimTime t) const {
+    return t >= now_ ? t : admit_past(t);  // NaN fails the test: admit_past throws
+  }
+  [[nodiscard]] SimTime admit_past(SimTime t) const;
   void enqueue(std::uint32_t slot, SimTime t);
   void bucket_insert(std::size_t idx, std::uint32_t slot);
   void overflow_push(std::uint32_t slot);
@@ -191,8 +228,28 @@ class Scheduler {
   /// Advance to the next live (non-cancelled) event, discarding carcasses;
   /// returns its slot (still at the head of bucket `cur_`) or kNil.
   std::uint32_t skim();
-  /// Pop the skimmed head and run it (exception contract applies).
+  /// The next event to dispatch: the earlier by (t, seq) of the lane's
+  /// live head and the calendar's head (skimmed only when the cached one
+  /// is stale); kNil when nothing is pending.
+  std::uint32_t next_event();
+  /// Pop `slot` -- next_event()'s answer -- from the lane or the calendar
+  /// and run it (exception contract applies).
   void dispatch(std::uint32_t slot);
+
+  // --- FIFO lane -------------------------------------------------------
+  void lane_push(std::uint32_t slot, SimTime t) {
+    if (lane_size_ == lane_.size()) lane_grow();
+    lane_[(lane_head_ + lane_size_) & lane_mask_] = slot;
+    ++lane_size_;
+    ++lane_live_;
+    lane_tail_t_ = t;
+  }
+  void lane_pop() {
+    lane_head_ = (lane_head_ + 1) & lane_mask_;
+    // An empty lane admits anything in the window again.
+    if (--lane_size_ == 0) lane_tail_t_ = -std::numeric_limits<double>::infinity();
+  }
+  void lane_grow();
   /// Re-bucket every pending event under a new geometry.  With
   /// `estimate_width` the width argument is replaced by a sample-based
   /// estimate of the pending population's inter-event gap (falls back to
@@ -242,8 +299,28 @@ class Scheduler {
   // width piles everything into a few buckets and sorted insertion goes
   // quadratic long before the dispatch-gap EWMA ever gets a chance to run.
   bool overloaded_ = false;
-  std::size_t overload_mark_ = 0;  // live_ at the last overload rebuild
+  std::size_t overload_mark_ = 0;  // calendar population at the last overload rebuild
   static constexpr std::uint32_t kOverloadChain = 16;
+
+  // The calendar's head, kept between dispatches so a lane dispatch does
+  // not re-skim.  Valid while cal_known_; kNil then means the calendar is
+  // empty.  Invalidated by a calendar dispatch, an earlier calendar
+  // insert, cancelling the head, and every rebuild.
+  bool cal_known_ = false;
+  std::uint32_t cal_head_ = kNil;
+  SimTime cal_t_ = 0.0;
+  std::uint64_t cal_seq_ = 0;
+
+  // FIFO lane: a power-of-two ring of slots sorted by (t, seq) because
+  // admission requires t >= lane_tail_t_ and seq only grows.
+  std::vector<std::uint32_t> lane_;
+  std::uint32_t lane_mask_ = 0;  // lane_.size() - 1
+  std::uint32_t lane_head_ = 0;  // ring index of the oldest entry
+  std::uint32_t lane_size_ = 0;  // entries, cancelled carcasses included
+  std::size_t lane_live_ = 0;    // live (queued) events in the lane
+  SimTime lane_horizon_ = -std::numeric_limits<double>::infinity();
+  SimTime lane_tail_t_ = -std::numeric_limits<double>::infinity();  // newest entry's time
+  std::uint64_t lane_dispatched_ = 0;
 };
 
 }  // namespace mcnet::evsim

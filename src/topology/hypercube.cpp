@@ -1,12 +1,14 @@
 #include "topology/hypercube.hpp"
 
 #include <stdexcept>
+#include <string>
 
 namespace mcnet::topo {
 
 Hypercube::Hypercube(std::uint32_t dimensions) : n_(dimensions) {
   if (dimensions == 0 || dimensions > 20) {
-    throw std::invalid_argument("hypercube dimension must be in [1, 20]");
+    throw std::invalid_argument("hypercube dimension " + std::to_string(dimensions) +
+                                " must be in [1, 20] (the limit is 2^20 nodes)");
   }
   const std::uint32_t n = 1u << dimensions;
   std::vector<std::vector<NodeId>> adj(n);

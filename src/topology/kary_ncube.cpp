@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace mcnet::topo {
 
@@ -11,7 +12,11 @@ KAryNCube::KAryNCube(std::uint32_t k, std::uint32_t n, bool wrap)
   pow_.resize(n + 1);
   pow_[0] = 1;
   for (std::uint32_t i = 0; i < n; ++i) {
-    if (pow_[i] > kMaxNodes / k) throw std::invalid_argument("k-ary n-cube too large");
+    if (pow_[i] > kMaxNodes / k) {
+      throw std::invalid_argument("k-ary n-cube " + std::to_string(k) + "x" + std::to_string(n) +
+                                  " exceeds the topology limit of " + std::to_string(kMaxNodes) +
+                                  " nodes");
+    }
     pow_[i + 1] = pow_[i] * k;
   }
   const std::uint32_t total = pow_[n];

@@ -1,6 +1,5 @@
 #include "wormhole/channel_pool.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace mcnet::worm {
@@ -20,35 +19,39 @@ ChannelPool::ChannelPool(std::uint32_t num_channels, std::uint8_t copies,
   }
 }
 
-std::optional<std::uint8_t> ChannelPool::acquire(ChannelId c, const ChannelRequest& req) {
-  if (req.copy == kAnyCopy) {
-    for (std::uint8_t k = 0; k < copies_; ++k) {
-      if (holder_[index(c, k)] == kNoWorm) {
-        holder_[index(c, k)] = req.worm_id;
-        ++busy_;
-        return k;
-      }
-    }
+void ChannelPool::enqueue(ChannelId c, const ChannelRequest& req) {
+  std::uint32_t i = free_node_;
+  if (i != kNil) {
+    free_node_ = nodes_[i].next;
+    nodes_[i] = Waiter{req, kNil};
   } else {
-    const auto k = static_cast<std::uint8_t>(req.copy);
-    if (k >= copies_) throw std::invalid_argument("copy index out of range");
-    if (holder_[index(c, k)] == kNoWorm) {
-      holder_[index(c, k)] = req.worm_id;
-      ++busy_;
-      return k;
-    }
+    i = static_cast<std::uint32_t>(nodes_.size());
+    nodes_.push_back(Waiter{req, kNil});
   }
-  queues_[c].push_back(req);
-  return std::nullopt;
+  Queue& q = queues_[c];
+  if (q.tail == kNil) {
+    q.head = i;
+  } else {
+    nodes_[q.tail].next = i;
+  }
+  q.tail = i;
 }
 
-std::optional<std::pair<ChannelRequest, std::uint8_t>> ChannelPool::release(
+void ChannelPool::unlink(ChannelId c, std::uint32_t prev, std::uint32_t i) {
+  Queue& q = queues_[c];
+  const std::uint32_t next = nodes_[i].next;
+  if (prev == kNil) {
+    q.head = next;
+  } else {
+    nodes_[prev].next = next;
+  }
+  if (q.tail == i) q.tail = prev;
+  nodes_[i].next = free_node_;
+  free_node_ = i;
+}
+
+std::optional<std::pair<ChannelRequest, std::uint8_t>> ChannelPool::hand_over(
     ChannelId c, std::uint8_t copy) {
-  auto& slot = holder_[index(c, copy)];
-  if (slot == kNoWorm) throw std::logic_error("releasing a free channel");
-  slot = kNoWorm;
-  --busy_;
-  auto& q = queues_[c];
   // Arbitrate among the compatible waiters (Section 2.3.3) without
   // collecting them: FCFS stops at the first, oldest-first keeps the
   // running minimum, and random counts them, draws once over the count and
@@ -56,38 +59,52 @@ std::optional<std::pair<ChannelRequest, std::uint8_t>> ChannelPool::release(
   const auto compatible = [copy](const ChannelRequest& r) {
     return r.copy == kAnyCopy || r.copy == static_cast<std::int8_t>(copy);
   };
-  std::size_t pick = q.size();
+  std::uint32_t pick = kNil;
+  std::uint32_t pick_prev = kNil;
   std::uint32_t count = 0;
-  for (std::size_t i = 0; i < q.size(); ++i) {
-    if (!compatible(q[i])) continue;
+  for (std::uint32_t prev = kNil, i = queues_[c].head; i != kNil; prev = i, i = nodes_[i].next) {
+    if (!compatible(nodes_[i].req)) continue;
     ++count;
-    if (pick == q.size()) {
+    if (pick == kNil) {
       pick = i;
+      pick_prev = prev;
       if (arbitration_ == Arbitration::kFcfs) break;  // first wins
     } else if (arbitration_ == Arbitration::kOldestFirst &&
-               priority_(q[i].worm_id) < priority_(q[pick].worm_id)) {
+               priority_(nodes_[i].req.worm_id) < priority_(nodes_[pick].req.worm_id)) {
       pick = i;
+      pick_prev = prev;
     }
   }
   if (count == 0) return std::nullopt;
   if (arbitration_ == Arbitration::kRandom) {
     std::uint32_t skip = rng_.uniform_int(0, count - 1);
-    for (pick = 0;; ++pick) {
-      if (!compatible(q[pick])) continue;
+    pick_prev = kNil;
+    for (pick = queues_[c].head;; pick_prev = pick, pick = nodes_[pick].next) {
+      if (!compatible(nodes_[pick].req)) continue;
       if (skip == 0) break;
       --skip;
     }
   }
-  const ChannelRequest req = q[pick];
-  q.erase(q.begin() + static_cast<std::ptrdiff_t>(pick));
-  holder_[index(c, copy)] = req.worm_id;
-  ++busy_;
+  const ChannelRequest req = nodes_[pick].req;
+  unlink(c, pick_prev, pick);
+  take(c, copy, req.worm_id);
   return std::make_pair(req, copy);
+}
+
+bool ChannelPool::cancel_request(ChannelId c, std::uint32_t worm_id, std::uint32_t link_index) {
+  for (std::uint32_t prev = kNil, i = queues_[c].head; i != kNil; prev = i, i = nodes_[i].next) {
+    if (nodes_[i].req.worm_id == worm_id && nodes_[i].req.link_index == link_index) {
+      unlink(c, prev, i);
+      return true;
+    }
+  }
+  return false;
 }
 
 bool ChannelPool::retarget(ChannelId c, std::uint32_t old_worm, std::uint32_t old_link,
                            std::uint32_t new_worm, std::uint32_t new_link) {
-  for (ChannelRequest& r : queues_[c]) {
+  for (std::uint32_t i = queues_[c].head; i != kNil; i = nodes_[i].next) {
+    ChannelRequest& r = nodes_[i].req;
     if (r.worm_id == old_worm && r.link_index == old_link) {
       r.worm_id = new_worm;
       r.link_index = new_link;
@@ -97,10 +114,12 @@ bool ChannelPool::retarget(ChannelId c, std::uint32_t old_worm, std::uint32_t ol
   return false;
 }
 
-void ChannelPool::cancel_requests(std::uint32_t worm_id) {
-  for (auto& q : queues_) {
-    std::erase_if(q, [worm_id](const ChannelRequest& r) { return r.worm_id == worm_id; });
+std::vector<ChannelRequest> ChannelPool::waiters(ChannelId c) const {
+  std::vector<ChannelRequest> out;
+  for (std::uint32_t i = queues_[c].head; i != kNil; i = nodes_[i].next) {
+    out.push_back(nodes_[i].req);
   }
+  return out;
 }
 
 }  // namespace mcnet::worm

@@ -11,9 +11,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "evsim/random.hpp"
@@ -53,16 +54,38 @@ class ChannelPool {
 
   /// Try to acquire a copy of channel `c`; returns the granted copy index,
   /// or queues the request and returns nullopt.
-  [[nodiscard]] std::optional<std::uint8_t> acquire(ChannelId c, const ChannelRequest& req);
+  [[nodiscard]] std::optional<std::uint8_t> acquire(ChannelId c, const ChannelRequest& req) {
+    if (req.copy == kAnyCopy) {
+      for (std::uint8_t k = 0; k < copies_; ++k) {
+        if (holder_[index(c, k)] == kNoWorm) return take(c, k, req.worm_id);
+      }
+    } else {
+      const auto k = static_cast<std::uint8_t>(req.copy);
+      if (k >= copies_) throw std::invalid_argument("copy index out of range");
+      if (holder_[index(c, k)] == kNoWorm) return take(c, k, req.worm_id);
+    }
+    enqueue(c, req);
+    return std::nullopt;
+  }
 
   /// Release copy `copy` of channel `c`; if a compatible waiter exists, the
   /// copy is handed to the first one and (request, copy) is returned so the
   /// caller can notify the worm.  Strict FCFS among compatible waiters.
   [[nodiscard]] std::optional<std::pair<ChannelRequest, std::uint8_t>> release(
-      ChannelId c, std::uint8_t copy);
+      ChannelId c, std::uint8_t copy) {
+    std::uint32_t& slot = holder_[index(c, copy)];
+    if (slot == kNoWorm) throw std::logic_error("releasing a free channel");
+    slot = kNoWorm;
+    --busy_;
+    if (queues_[c].head == kNil) return std::nullopt;
+    return hand_over(c, copy);
+  }
 
-  /// Drop every queued request of `worm_id` (used when aborting a worm).
-  void cancel_requests(std::uint32_t worm_id);
+  /// Drop the queued request of worm `worm_id`'s link `link_index` on
+  /// channel `c` (used when killing a worm: a worm waits only on its
+  /// ungranted frontier links).  Returns false if no such request is
+  /// queued.  The other waiters keep their FCFS order.
+  bool cancel_request(ChannelId c, std::uint32_t worm_id, std::uint32_t link_index);
 
   /// Re-address a queued request in place, preserving its FCFS position
   /// (used by virtual cut-through to hand a blocked wait over to the
@@ -73,9 +96,8 @@ class ChannelPool {
   [[nodiscard]] std::uint32_t holder(ChannelId c, std::uint8_t copy) const {
     return holder_[index(c, copy)];
   }
-  [[nodiscard]] const std::deque<ChannelRequest>& waiters(ChannelId c) const {
-    return queues_[c];
-  }
+  /// The requests queued on channel `c`, oldest first.
+  [[nodiscard]] std::vector<ChannelRequest> waiters(ChannelId c) const;
   [[nodiscard]] std::uint8_t copies() const { return copies_; }
   [[nodiscard]] std::uint32_t num_channels() const {
     return static_cast<std::uint32_t>(queues_.size());
@@ -83,17 +105,44 @@ class ChannelPool {
   [[nodiscard]] std::uint32_t busy_count() const { return busy_; }
 
  private:
+  static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
+
+  /// A queued request, linked into its channel's FIFO; free nodes chain
+  /// through `next` too.
+  struct Waiter {
+    ChannelRequest req;
+    std::uint32_t next = kNil;
+  };
+  struct Queue {
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+  };
+
   [[nodiscard]] std::size_t index(ChannelId c, std::uint8_t copy) const {
     return static_cast<std::size_t>(c) * copies_ + copy;
   }
+  std::uint8_t take(ChannelId c, std::uint8_t copy, std::uint32_t worm_id) {
+    holder_[index(c, copy)] = worm_id;
+    ++busy_;
+    return copy;
+  }
+  void enqueue(ChannelId c, const ChannelRequest& req);
+  /// Unlink node `i` (whose predecessor is `prev`, or kNil at the head)
+  /// from channel `c`'s queue and free it.
+  void unlink(ChannelId c, std::uint32_t prev, std::uint32_t i);
+  /// Arbitrate the freed copy among `c`'s compatible waiters.
+  std::optional<std::pair<ChannelRequest, std::uint8_t>> hand_over(ChannelId c,
+                                                                   std::uint8_t copy);
 
   std::uint8_t copies_;
   Arbitration arbitration_;
   std::function<double(std::uint32_t)> priority_;
   evsim::Rng rng_;
   std::uint32_t busy_ = 0;
-  std::vector<std::uint32_t> holder_;           // per physical copy
-  std::vector<std::deque<ChannelRequest>> queues_;  // per logical channel
+  std::vector<std::uint32_t> holder_;  // per physical copy
+  std::vector<Queue> queues_;          // per logical channel
+  std::vector<Waiter> nodes_;          // queued requests of every channel
+  std::uint32_t free_node_ = kNil;
 };
 
 }  // namespace mcnet::worm

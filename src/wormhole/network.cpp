@@ -1,6 +1,8 @@
 #include "wormhole/network.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -12,6 +14,8 @@ namespace mcnet::worm {
 namespace {
 
 constexpr std::uint8_t kNotGranted = 0xFF;
+/// A drain milestone that will not come: its cursor is used up.
+constexpr double kNever = std::numeric_limits<double>::infinity();
 
 [[noreturn]] void bad_spec(std::size_t spec, const char* array, std::size_t i,
                            const char* field, const std::string& why) {
@@ -30,7 +34,12 @@ Network::Network(const topo::Topology& topology, const WormholeParams& params,
             [this](std::uint32_t worm_id) { return worms_[worm_id].t_created; }),
       faults_(std::move(faults)) {
   if (params.message_flits == 0) throw std::invalid_argument("message needs >= 1 flit");
-  if (params.flit_time <= 0.0) throw std::invalid_argument("flit time must be positive");
+  if (!(params.flit_time > 0.0) || !std::isfinite(params.flit_time)) {
+    throw std::invalid_argument("flit time must be positive and finite");
+  }
+  // Header advances and drain milestones are due one flit time ahead:
+  // they ride the scheduler's FIFO lane instead of its calendar.
+  sched.register_lane_delay(params.flit_time);
   if (!faults_) faults_ = std::make_shared<fault::FaultState>(topology);
   if (faults_->topology().num_channels() != topology.num_channels()) {
     throw std::invalid_argument("fault state built for another topology");
@@ -164,6 +173,31 @@ void Network::index_links(Worm& w) {
   }
 }
 
+void Network::set_due_progress(Worm& w) const {
+  const std::uint32_t l = params_.message_flits;
+  std::uint32_t due = std::numeric_limits<std::uint32_t>::max();
+  if (w.next_release < w.links.size()) due = w.links[w.next_release].depth + l;
+  if (w.next_delivery < w.deliveries.size()) {
+    due = std::min(due, w.deliveries[w.next_delivery].first + l - 1);
+  }
+  w.due_progress = due;
+}
+
+double Network::delivery_due(const Worm& w) const {
+  if (w.next_delivery >= w.deliveries.size()) return kNever;
+  const std::uint32_t l = params_.message_flits;
+  return w.drain_t0 + static_cast<double>(w.deliveries[w.next_delivery].first + l - 1 -
+                                          w.progress) *
+                          params_.flit_time;
+}
+
+double Network::release_due(const Worm& w) const {
+  if (w.next_release >= w.links.size()) return kNever;
+  const std::uint32_t l = params_.message_flits;
+  return w.drain_t0 +
+         static_cast<double>(w.links[w.next_release].depth + l - w.progress) * params_.flit_time;
+}
+
 std::uint64_t Network::inject(std::vector<WormSpec> specs) {
   validate_specs(specs);
   const std::uint64_t msg = next_message_++;
@@ -184,6 +218,7 @@ std::uint64_t Network::inject(std::vector<WormSpec> specs) {
     w.links = std::move(spec.links);
     w.deliveries = std::move(spec.deliveries);
     index_links(w);
+    set_due_progress(w);
     w.active = true;
     ++active_worms_;
     begin_frontier(id);
@@ -205,32 +240,39 @@ std::uint32_t Network::allocate_worm() {
 void Network::begin_frontier(std::uint32_t worm_id) {
   Worm& w = worms_[worm_id];
   const std::uint32_t depth = w.progress + 1;
-  w.frontier_begin = w.depth_start[depth];
-  w.frontier_end = w.depth_start[depth + 1];
-  w.granted = 0;
+  const std::uint32_t begin = w.depth_start[depth];
+  const std::uint32_t end = w.depth_start[depth + 1];
   // A frontier touching failed hardware kills the worm: it can never be
-  // granted, and letting it hold-and-wait would wedge the network.
+  // granted, and letting it hold-and-wait would wedge the network.  The
+  // kill happens before the frontier is recorded, so it finds no waits.
   if (!faults_->healthy()) {
-    for (std::uint32_t i = w.frontier_begin; i < w.frontier_end; ++i) {
+    for (std::uint32_t i = begin; i < end; ++i) {
       if (!faults_->channel_usable(w.links[i].channel)) {
         kill_worm(worm_id);
         return;
       }
     }
   }
-  const std::uint32_t frontier_size = w.frontier_end - w.frontier_begin;
-  for (std::uint32_t i = w.frontier_begin; i < w.frontier_end; ++i) {
-    const WormLink& link = w.links[i];
-    if (const auto copy = pool_.acquire(link.channel, ChannelRequest{worm_id, i, link.copy})) {
-      note_grant(link.channel, *copy);
-      w.copy_used[i] = *copy;
-      ++w.granted;
+  w.frontier_begin = begin;
+  w.frontier_end = end;
+  w.granted = 0;
+  const std::uint64_t gen = worm_gen_[worm_id];
+  for (std::uint32_t i = begin; i < end; ++i) {
+    const WormLink& link = worms_[worm_id].links[i];
+    const ChannelId channel = link.channel;
+    if (const auto copy = pool_.acquire(channel, ChannelRequest{worm_id, i, link.copy})) {
+      Worm& held = worms_[worm_id];
+      held.copy_used[i] = *copy;
+      ++held.granted;
+      note_grant(channel, *copy);  // the trace hook may kill this worm or inject
+      if (worm_gen_[worm_id] != gen) return;
     }
   }
-  if (w.granted == frontier_size) {
+  Worm& done = worms_[worm_id];
+  if (done.granted == end - begin) {
     arm_advance(worm_id);
   } else {
-    w.block_started = sched_->now();
+    done.block_started = sched_->now();
     if (params_.virtual_cut_through) vct_absorb(worm_id);
   }
 }
@@ -266,6 +308,7 @@ void Network::vct_absorb(std::uint32_t worm_id) {
     if (depth > p) cw.deliveries.emplace_back(depth - p, dest);
   }
   index_links(cw);
+  set_due_progress(cw);
   cw.frontier_begin = 0;
   cw.frontier_end = cw.depth_start[2];
   cw.granted = 0;
@@ -291,9 +334,17 @@ void Network::vct_absorb(std::uint32_t worm_id) {
 }
 
 void Network::on_grant(std::uint32_t worm_id, std::uint32_t link_index, std::uint8_t copy) {
+  // Record the grant before the trace hook sees it: a hook that kills
+  // this worm must find the channel on record to release it again.
+  {
+    Worm& held = worms_[worm_id];
+    held.copy_used[link_index] = copy;
+    ++held.granted;
+  }
+  const std::uint64_t gen = worm_gen_[worm_id];
+  note_grant(worms_[worm_id].links[link_index].channel, copy);  // may kill or inject
+  if (worm_gen_[worm_id] != gen) return;
   Worm& w = worms_[worm_id];
-  w.copy_used[link_index] = copy;
-  ++w.granted;
   if (w.granted == w.frontier_end - w.frontier_begin) {
     if (w.block_started >= 0.0) {
       const double waited = sched_->now() - w.block_started;
@@ -316,7 +367,6 @@ void Network::release_link(Worm& w, std::uint32_t link_index) {
   const ChannelId channel = w.links[link_index].channel;
   note_release(channel, copy);
   if (const auto grant = pool_.release(channel, copy)) {
-    note_grant(channel, grant->second);
     on_grant(grant->first.worm_id, grant->first.link_index, grant->second);
   }
 }
@@ -327,39 +377,41 @@ void Network::advance(std::uint32_t worm_id) {
   // worm (fail_channel / abort_message from a channel-trace or delivery
   // callback) and even reuse its slot, so every callout is followed by a
   // generation check.
-  worms_[worm_id].pending = evsim::EventId{};  // this event just fired
-  const std::uint64_t gen = worm_gen_[worm_id];
-  const std::uint32_t l = params_.message_flits;
-  worms_[worm_id].progress += 1;
-
-  // Tail release: link at depth d frees at progress d + L.  Grant cascades
-  // fire the channel-trace hooks.
-  while (true) {
-    Worm& w = worms_[worm_id];
-    if (w.next_release >= w.links.size() ||
-        w.links[w.next_release].depth + l > w.progress) {
-      break;
+  Worm& head = worms_[worm_id];
+  head.pending = evsim::EventId{};  // this event just fired
+  if (++head.progress >= head.due_progress) {
+    const std::uint64_t gen = worm_gen_[worm_id];
+    const std::uint32_t l = params_.message_flits;
+    // Tail release: link at depth d frees at progress d + L.  Grant
+    // cascades fire the channel-trace hooks.
+    while (true) {
+      Worm& w = worms_[worm_id];
+      if (w.next_release >= w.links.size() ||
+          w.links[w.next_release].depth + l > w.progress) {
+        break;
+      }
+      const std::uint32_t idx = w.next_release++;
+      release_link(w, idx);
+      if (worm_gen_[worm_id] != gen) return;  // a hook retired this worm
     }
-    const std::uint32_t idx = w.next_release++;
-    release_link(w, idx);
-    if (worm_gen_[worm_id] != gen) return;  // a hook retired this worm
-  }
-  // Deliveries: destination at depth d completes at progress d + L - 1.
-  while (true) {
-    Worm& w = worms_[worm_id];
-    if (w.next_delivery >= w.deliveries.size() ||
-        w.deliveries[w.next_delivery].first + l - 1 > w.progress) {
-      break;
+    // Deliveries: destination at depth d completes at progress d + L - 1.
+    while (true) {
+      Worm& w = worms_[worm_id];
+      if (w.next_delivery >= w.deliveries.size() ||
+          w.deliveries[w.next_delivery].first + l - 1 > w.progress) {
+        break;
+      }
+      const auto [depth, dest] = w.deliveries[w.next_delivery++];
+      const std::uint64_t message = w.message;
+      const double latency = sched_->now() - w.t_created;
+      if (metrics_.active()) {
+        metrics_.deliveries->inc();
+        metrics_.delivery_latency_s->record(latency);
+      }
+      if (hooks_.on_delivery) hooks_.on_delivery(message, dest, latency);  // may inject
+      if (worm_gen_[worm_id] != gen) return;
     }
-    const auto [depth, dest] = w.deliveries[w.next_delivery++];
-    const std::uint64_t message = w.message;
-    const double latency = sched_->now() - w.t_created;
-    if (metrics_.active()) {
-      metrics_.deliveries->inc();
-      metrics_.delivery_latency_s->record(latency);
-    }
-    if (hooks_.on_delivery) hooks_.on_delivery(message, dest, latency);  // may inject
-    if (worm_gen_[worm_id] != gen) return;
+    set_due_progress(worms_[worm_id]);
   }
 
   if (worms_[worm_id].progress < worms_[worm_id].max_depth) {
@@ -376,47 +428,35 @@ void Network::drain(std::uint32_t worm_id) {
   // The next_delivery / next_release cursors advance as each milestone
   // actually fires (not eagerly here), so a mid-drain kill_worm sees
   // exactly which links are still held and which destinations are still
-  // owed a delivery.
+  // owed a delivery.  Each cursor's milestone time is derived once, when
+  // the cursor reaches it.
+  w.t_delivery = delivery_due(w);
+  w.t_release = release_due(w);
   arm_drain(worm_id);
 }
 
 void Network::arm_drain(std::uint32_t worm_id) {
   Worm& w = worms_[worm_id];
-  const std::uint32_t l = params_.message_flits;
-  const double tau = params_.flit_time;
-  const std::uint32_t p = w.progress;
   // Finish is the latest milestone (deliveries sit at < L flit times,
   // releases at <= L) and ran last in the per-event code, so it is the
   // fallback, not a min candidate on its own.
-  double t_next = w.drain_t0 + static_cast<double>(l) * tau;
-  if (w.next_delivery < w.deliveries.size()) {
-    const double dt = static_cast<double>(w.deliveries[w.next_delivery].first + l - 1 - p) * tau;
-    t_next = std::min(t_next, w.drain_t0 + dt);
-  }
-  if (w.next_release < w.links.size()) {
-    const double dt = static_cast<double>(w.links[w.next_release].depth + l - p) * tau;
-    t_next = std::min(t_next, w.drain_t0 + dt);
-  }
+  const double t_finish =
+      w.drain_t0 + static_cast<double>(params_.message_flits) * params_.flit_time;
+  const double t_next = std::min(t_finish, std::min(w.t_delivery, w.t_release));
   w.pending = sched_->schedule_at(t_next, [this, worm_id] { drain_step(worm_id); });
 }
 
 void Network::drain_step(std::uint32_t worm_id) {
   worms_[worm_id].pending = evsim::EventId{};
   const std::uint64_t gen = worm_gen_[worm_id];
-  const std::uint32_t l = params_.message_flits;
-  const double tau = params_.flit_time;
   const double now = sched_->now();
 
   // Deliveries due now run before releases due now -- the per-event code
   // scheduled all deliveries first, so equal-time ties broke the same way.
-  while (true) {
+  while (worms_[worm_id].t_delivery <= now) {
     Worm& w = worms_[worm_id];
-    if (w.next_delivery >= w.deliveries.size()) break;
-    const auto [depth, dest] = w.deliveries[w.next_delivery];
-    const double t_due =
-        w.drain_t0 + static_cast<double>(depth + l - 1 - w.progress) * tau;
-    if (t_due > now) break;
-    ++w.next_delivery;
+    const NodeId dest = w.deliveries[w.next_delivery++].second;
+    w.t_delivery = delivery_due(w);
     const std::uint64_t message = w.message;
     const double latency = now - w.t_created;
     if (metrics_.active()) {
@@ -426,21 +466,18 @@ void Network::drain_step(std::uint32_t worm_id) {
     if (hooks_.on_delivery) hooks_.on_delivery(message, dest, latency);  // may inject
     if (worm_gen_[worm_id] != gen) return;  // a hook retired this worm
   }
-  while (true) {
+  while (worms_[worm_id].t_release <= now) {
     Worm& w = worms_[worm_id];
-    if (w.next_release >= w.links.size()) break;
-    const double t_due =
-        w.drain_t0 + static_cast<double>(w.links[w.next_release].depth + l - w.progress) * tau;
-    if (t_due > now) break;
     const std::uint32_t idx = w.next_release++;
-    release_link(worms_[worm_id], idx);
+    w.t_release = release_due(w);
+    release_link(w, idx);
     if (worm_gen_[worm_id] != gen) return;
   }
 
-  Worm& w = worms_[worm_id];
-  const double t_finish = w.drain_t0 + static_cast<double>(l) * tau;
-  if (w.next_delivery >= w.deliveries.size() && w.next_release >= w.links.size() &&
-      t_finish <= now) {
+  const Worm& w = worms_[worm_id];
+  const double t_finish =
+      w.drain_t0 + static_cast<double>(params_.message_flits) * params_.flit_time;
+  if (w.t_delivery == kNever && w.t_release == kNever && t_finish <= now) {
     finish_worm(worm_id);
     return;
   }
@@ -485,9 +522,16 @@ void Network::kill_worm(std::uint32_t worm_id) {
   // as a stale generation-checked no-op.
   sched_->cancel(worms_[worm_id].pending);
   worms_[worm_id].pending = evsim::EventId{};
-  pool_.cancel_requests(worm_id);
   {
+    // A worm queues only on its current frontier, and a granted link's
+    // request has left the queue: cancel the ungranted frontier links'
+    // requests and leave every other channel's waiters alone.
     Worm& w = worms_[worm_id];
+    for (std::uint32_t i = w.frontier_begin; i < w.frontier_end; ++i) {
+      if (w.copy_used[i] == kNotGranted) {
+        (void)pool_.cancel_request(w.links[i].channel, worm_id, i);
+      }
+    }
     if (w.block_started >= 0.0) {
       w.blocked_time += sched_->now() - w.block_started;
       w.block_started = -1.0;

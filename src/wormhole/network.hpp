@@ -156,12 +156,7 @@ class Network {
 
  private:
   struct Worm {
-    std::uint64_t message = 0;
-    double t_created = 0.0;
-    std::vector<WormLink> links;
-    std::vector<std::pair<std::uint32_t, NodeId>> deliveries;
-    std::vector<std::uint32_t> depth_start;  // index of first link at each depth
-    std::vector<std::uint8_t> copy_used;     // granted copy per link
+    // The fields every advance / drain_step reads come first.
     std::uint32_t progress = 0;
     std::uint32_t max_depth = 0;
     std::uint32_t frontier_begin = 0;
@@ -169,13 +164,26 @@ class Network {
     std::uint32_t granted = 0;
     std::uint32_t next_delivery = 0;
     std::uint32_t next_release = 0;  // first link not yet released
-    double block_started = -1.0;     // time the current blocked wait began
-    double blocked_time = 0.0;       // accumulated blocking (Sec. 2.2's term)
+    /// Advance phase: the progress at which the next release (link depth
+    /// + L) or delivery (depth + L - 1) falls due; see set_due_progress.
+    std::uint32_t due_progress = 0;
     /// The worm's single outstanding kernel event (an advance or a
     /// drain_step); null while blocked.  kill_worm cancels it outright --
     /// no stale closure ever fires for a retired incarnation.
     evsim::EventId pending;
-    double drain_t0 = 0.0;  // absolute base time of the drain milestones
+    // Drain phase: absolute milestone times, each derived once from the
+    // cursors (see drain); +inf once that kind of milestone is used up.
+    double drain_t0 = 0.0;
+    double t_delivery = 0.0;
+    double t_release = 0.0;
+    std::vector<WormLink> links;
+    std::vector<std::pair<std::uint32_t, NodeId>> deliveries;
+    std::vector<std::uint32_t> depth_start;  // index of first link at each depth
+    std::vector<std::uint8_t> copy_used;     // granted copy per link
+    std::uint64_t message = 0;
+    double t_created = 0.0;
+    double block_started = -1.0;     // time the current blocked wait began
+    double blocked_time = 0.0;       // accumulated blocking (Sec. 2.2's term)
     bool active = false;
 
     [[nodiscard]] bool blocked() const {
@@ -200,9 +208,21 @@ class Network {
   static void reset_slot(Worm& w);
   /// Size copy_used and build depth_start for the worm's links.
   static void index_links(Worm& w);
+  /// Recompute Worm::due_progress from the release and delivery cursors,
+  /// with the same unsigned expressions advance's loops test.
+  void set_due_progress(Worm& w) const;
+  /// The drain milestone of the next delivery / release, or kNever:
+  /// drain_t0 + (depth + L - 1 - p) and drain_t0 + (depth + L - p) flit
+  /// times, computed with the exact expressions the per-event code used,
+  /// so dispatch timestamps stay bit-identical.
+  [[nodiscard]] double delivery_due(const Worm& w) const;
+  [[nodiscard]] double release_due(const Worm& w) const;
   void begin_frontier(std::uint32_t worm_id);
   void vct_absorb(std::uint32_t worm_id);
   std::uint32_t allocate_worm();
+  /// A release cascade handed `copy` of the worm's link to it: record the
+  /// grant, fire the trace hook, and arm the advance once the whole
+  /// frontier is held.
   void on_grant(std::uint32_t worm_id, std::uint32_t link_index, std::uint8_t copy);
   /// Arm the worm's single pending event: one flit time to the next hop.
   void arm_advance(std::uint32_t worm_id);
@@ -212,17 +232,16 @@ class Network {
   /// and tail release into a single kernel dispatch (the old code armed
   /// one event per delivery, per link and for the finish).
   void drain(std::uint32_t worm_id);
-  /// Schedule drain_step at the earliest not-yet-fired drain milestone.
-  /// Milestones are absolute times off drain_t0 (delivery at depth d:
-  /// (d + L - 1 - p) flit times; release of the link at depth d:
-  /// (d + L - p); finish: L), computed with the exact same expressions the
-  /// per-event code used, so dispatch timestamps stay bit-identical.
+  /// Schedule drain_step at the earliest not-yet-fired drain milestone:
+  /// the cached next delivery and release times, or the finish at
+  /// drain_t0 + L flit times.
   void arm_drain(std::uint32_t worm_id);
   void drain_step(std::uint32_t worm_id);
   void release_link(Worm& w, std::uint32_t link_index);
   void finish_worm(std::uint32_t worm_id);
   /// Kill an active worm: cancel its pending kernel event, cancel its
-  /// waits, release its holds, drop its undelivered destinations, retire
+  /// waits (its ungranted frontier links, the only channels a worm queues
+  /// on), release its holds, drop its undelivered destinations, retire
   /// the slot.
   void kill_worm(std::uint32_t worm_id);
   /// Kill every worm holding or waiting on channel `c`.

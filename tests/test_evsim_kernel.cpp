@@ -1,8 +1,9 @@
 // Kernel contract tests for the rebuilt evsim::Scheduler: same-timestamp
 // FIFO order (the determinism rule golden replay relies on), the
 // ulp-tolerant past-time clamp, the handler-exception contract, true
-// cancellation semantics, calendar-queue window mechanics, and a
-// randomized differential run against the preserved binary-heap kernel.
+// cancellation semantics, calendar-queue window mechanics, the FIFO lane,
+// randomized differential runs against the preserved binary-heap kernel,
+// and a count gate on the Fig 7.8 wormhole configuration.
 //
 // Suite names start with "Kernel" on purpose: the TSan CI job includes
 // them via its -R 'Kernel|Sched|...' ctest filter.
@@ -15,10 +16,15 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "core/router.hpp"
 #include "evsim/legacy_heap.hpp"
 #include "evsim/scheduler.hpp"
+#include "topology/mesh2d.hpp"
+#include "wormhole/network.hpp"
+#include "wormhole/traffic.hpp"
 
 namespace {
 
@@ -377,6 +383,132 @@ void spawn(Sched& sched, std::vector<std::pair<double, std::uint64_t>>& trace,
   });
 }
 
+/// The lane delay the lane differential runs register: 2^-24 s (~60 ns),
+/// so every multiple k * kTau is exact and grid times tie for real.
+constexpr double kTau = 1.0 / 16777216.0;
+
+struct Boom {};
+
+/// Lane workload: each event records itself, may cancel an earlier
+/// child, spawns 1-2 children and occasionally throws.  Delays land on
+/// both sides of the lane's 1.5 kTau horizon, exactly on it, just either
+/// side of it, and on a kTau grid where lane and calendar events tie.
+/// Event ids are schedule-call serials, identical on both kernels while
+/// their dispatch orders agree; the legacy heap, which cannot cancel,
+/// skips cancelled ids when they fire.
+template <typename Sched>
+class LaneMix {
+ public:
+  static constexpr bool kHeap = std::is_same_v<Sched, LegacyHeapScheduler>;
+
+  LaneMix(Sched& sched, std::uint64_t budget) : sched_(sched), budget_(budget) {}
+
+  void spawn(double t) {
+    const std::uint64_t id = next_id_++;
+    if constexpr (kHeap) {
+      cancelled_.push_back(false);
+      sched_.schedule_at(t, [this, id] { fire(id); });
+    } else {
+      handles_.push_back(sched_.schedule_at(t, [this, id] { fire(id); }));
+    }
+  }
+
+  /// Drive the workload to quiescence through run_until cuts (a throw is
+  /// retried at the same cut), injecting fresh roots after each cut.
+  void drive(std::uint64_t roots) {
+    for (std::uint64_t r = 0; r < roots; ++r) spawn(static_cast<double>(r % 4) * kTau);
+    for (int cut = 1; cut <= 40; ++cut) {
+      // Odd cuts fall on the grid (events at t_end run), even ones off it.
+      const double t_end = static_cast<double>(cut * 37) * kTau + (cut % 2 == 0 ? 0.3 * kTau : 0.0);
+      until(t_end);
+      trace.emplace_back(sched_.now(), kCutMark);
+      spawn(sched_.now() + kTau);
+      spawn(sched_.now() + static_cast<double>(cut % 3) * kTau);
+    }
+    for (;;) {
+      try {
+        sched_.run();
+        return;
+      } catch (const Boom&) {
+        ++throws;
+      }
+    }
+  }
+
+  static constexpr std::uint64_t kCutMark = ~0ull;
+  std::vector<std::pair<double, std::uint64_t>> trace;
+  std::uint64_t throws = 0;
+
+ private:
+  void until(double t_end) {
+    for (;;) {
+      try {
+        sched_.run_until(t_end);
+        return;
+      } catch (const Boom&) {
+        ++throws;
+      }
+    }
+  }
+
+  static double delay(std::uint64_t c) {
+    const std::uint64_t k = c >> 8;
+    switch (c % 10) {
+      case 0:
+        return 0.0;
+      case 1:
+      case 2:
+        return kTau;  // the lane's staple: one hop
+      case 3:
+        return 1.5 * kTau;  // exactly on the horizon (admitted)
+      case 4:
+        return static_cast<double>(k % 8) * kTau;  // grid ties either side
+      case 5:
+        return static_cast<double>(k % 3000) / 1000.0 * kTau;  // uniform over [0, 3 kTau)
+      case 6:
+        return 1.5 * kTau * (k % 2 == 0 ? 1.0 + 1e-12 : 1.0 - 1e-12);  // straddle the edge
+      case 7:
+        return static_cast<double>(k % 200) * kTau;  // calendar window
+      case 8:
+        return 2.0 * kTau;
+      default:
+        return 1e-4 + static_cast<double>(k % 16) * kTau;  // overflow band
+    }
+  }
+
+  void fire(std::uint64_t id) {
+    if constexpr (kHeap) {
+      if (cancelled_[id]) return;
+    }
+    trace.emplace_back(sched_.now(), id);
+    const std::uint64_t h = splitmix(id ^ 0x5eedull);
+    if (h % 5 == 0 && !victims_.empty()) {
+      const std::uint64_t v = victims_.back();
+      victims_.pop_back();
+      if constexpr (kHeap) {
+        cancelled_[v] = true;  // a no-op on the trace once v has fired
+      } else {
+        (void)sched_.cancel(handles_[v]);
+      }
+    }
+    const int kids = static_cast<int>(1 + (h >> 8) % 2);
+    for (int k = 0; k < kids && budget_ > 0; ++k) {
+      --budget_;
+      const std::uint64_t c = splitmix(h + static_cast<std::uint64_t>(k) + 1);
+      spawn(sched_.now() + delay(c));
+      if ((c >> 20) % 3 == 0) victims_.push_back(next_id_ - 1);
+    }
+    if ((h >> 32) % 97 == 0) throw Boom{};
+  }
+
+  Sched& sched_;
+  std::uint64_t budget_;
+  std::uint64_t next_id_ = 0;
+  std::vector<std::uint64_t> victims_;
+  std::vector<EventId> handles_;  // the calendar kernel's cancel handles
+  std::vector<bool> cancelled_;   // the heap kernel's cancel flags
+};
+
 }  // namespace diff
 
 TEST(KernelDifferential, MatchesLegacyHeapDispatchOn100kEvents) {
@@ -439,6 +571,203 @@ TEST(KernelDifferential, RunUntilAgreesWithLegacyHeap) {
   EXPECT_EQ(cal.now(), heap.now());
   ASSERT_EQ(calendar_trace.size(), heap_trace.size());
   EXPECT_EQ(calendar_trace, heap_trace);
+}
+
+TEST(KernelDifferential, LaneMatchesLegacyHeapAcrossHorizonCancelsThrowsAndCuts) {
+  Scheduler cal;
+  cal.register_lane_delay(diff::kTau);
+  diff::LaneMix<Scheduler> lane_mix(cal, 60000);
+  lane_mix.drive(24);
+
+  LegacyHeapScheduler heap;
+  diff::LaneMix<LegacyHeapScheduler> heap_mix(heap, 60000);
+  heap_mix.drive(24);
+
+  ASSERT_EQ(lane_mix.trace.size(), heap_mix.trace.size());
+  for (std::size_t i = 0; i < lane_mix.trace.size(); ++i) {
+    ASSERT_EQ(lane_mix.trace[i], heap_mix.trace[i])
+        << "dispatch order diverged from the heap kernel at trace entry " << i;
+  }
+  EXPECT_EQ(lane_mix.throws, heap_mix.throws);
+  // The run exercised what it claims to: both structures, cancellation
+  // (lane carcasses included), throwing handlers and calendar growth.
+  EXPECT_GT(cal.lane_dispatched(), cal.events_dispatched() / 10);
+  EXPECT_LT(cal.lane_dispatched(), cal.events_dispatched());
+  EXPECT_GT(cal.events_cancelled(), 1000u);
+  EXPECT_GT(lane_mix.throws, 10u);
+  EXPECT_GT(cal.num_buckets(), 256u);
+  EXPECT_TRUE(cal.empty());
+}
+
+// ---------------------------------------------------------------------
+// FIFO lane
+// ---------------------------------------------------------------------
+
+TEST(KernelLane, ClosedUntilRegisteredAndTheLargestDelayWins) {
+  Scheduler sched;
+  for (int i = 1; i <= 8; ++i) sched.schedule_in(50e-9 * i, [] {});
+  sched.run();
+  EXPECT_EQ(sched.lane_dispatched(), 0u);  // calendar-only dispatch
+
+  sched.register_lane_delay(50e-9);
+  sched.register_lane_delay(20e-9);  // smaller: the horizon stays 75 ns
+  EXPECT_THROW(sched.register_lane_delay(0.0), std::invalid_argument);
+  EXPECT_THROW(sched.register_lane_delay(-1e-9), std::invalid_argument);
+  EXPECT_THROW(sched.register_lane_delay(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_THROW(sched.register_lane_delay(std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  sched.schedule_in(74e-9, [] {});  // inside 1.5 x 50 ns: lane
+  sched.run();
+  EXPECT_EQ(sched.lane_dispatched(), 1u);
+  sched.schedule_in(76e-9, [] {});  // outside: calendar
+  sched.run();
+  EXPECT_EQ(sched.lane_dispatched(), 1u);
+  EXPECT_EQ(sched.events_dispatched(), 10u);
+}
+
+TEST(KernelLane, EqualTimeTiesWithTheCalendarRunInScheduleOrder) {
+  Scheduler sched;
+  sched.register_lane_delay(diff::kTau);
+  std::vector<int> order;
+  const double t = 2.0 * diff::kTau;
+  // Scheduled from now = 0, 2 kTau is past the horizon: calendar.
+  sched.schedule_at(t, [&] { order.push_back(0); });
+  sched.schedule_at(diff::kTau, [&] {
+    // From now = kTau the same time is one hop away: lane.  Schedule
+    // order, not the structure, breaks the tie.
+    sched.schedule_at(t, [&] { order.push_back(2); });
+    order.push_back(1);
+  });
+  sched.schedule_at(t, [&] { order.push_back(-1); });  // calendar again, after event 0
+  sched.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 0, -1, 2}));
+  EXPECT_EQ(sched.lane_dispatched(), 2u);  // the kTau root and event 2
+}
+
+TEST(KernelLane, CancelledLaneEventsAreFreedAtTheHead) {
+  Scheduler sched;
+  sched.register_lane_delay(diff::kTau);
+  auto token = std::make_shared<int>(1);
+  std::weak_ptr<int> watch = token;
+  std::vector<int> order;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 6; ++i) {
+    ids.push_back(sched.schedule_at(diff::kTau, [&order, i] { order.push_back(i); }));
+  }
+  const EventId held = sched.schedule_at(diff::kTau, [t = std::move(token)] { (void)t; });
+  EXPECT_TRUE(sched.cancel(ids[0]));  // the lane's head
+  EXPECT_TRUE(sched.cancel(ids[3]));
+  EXPECT_TRUE(sched.cancel(held));    // the lane's tail
+  EXPECT_TRUE(watch.expired());      // captures die at cancel time
+  EXPECT_FALSE(sched.cancel(ids[3]));
+  EXPECT_EQ(sched.pending(), 4u);
+  sched.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 4, 5}));
+  EXPECT_EQ(sched.lane_dispatched(), 4u);
+  EXPECT_EQ(sched.events_cancelled(), 3u);
+  // The carcasses' slots went back to the freelist: a fresh event reuses
+  // one, and the stale handle cannot touch it.
+  bool ran = false;
+  (void)sched.schedule_in(diff::kTau, [&] { ran = true; });
+  EXPECT_FALSE(sched.cancel(ids[0]));
+  sched.run();
+  EXPECT_TRUE(ran);
+}
+
+TEST(KernelLane, CalendarRebuildsWhileTheLaneHoldsEventsKeepOrder) {
+  std::vector<std::pair<double, int>> lane_trace;
+  std::vector<std::pair<double, int>> heap_trace;
+  auto load = [](auto& sched, std::vector<std::pair<double, int>>& trace) {
+    auto rec = [&sched, &trace](int tag) {
+      return [&sched, &trace, tag] { trace.emplace_back(sched.now(), tag); };
+    };
+    // 64 lane events at one hop, then enough calendar events on the grid
+    // to force growth rebuilds (> 128 calendar events) while they wait...
+    for (int i = 0; i < 64; ++i) sched.schedule_at(diff::kTau, rec(i));
+    for (int k = 2; k < 600; ++k) sched.schedule_at(k * diff::kTau, rec(1000 + k));
+    // ...and from the first lane event, a descending burst into one
+    // bucket that trips the insert-side overload rebuild.
+    sched.schedule_at(diff::kTau, [&sched, &trace, rec] {
+      trace.emplace_back(sched.now(), -1);
+      for (int j = 64; j > 0; --j) sched.schedule_at(3.0 * diff::kTau + j * 1e-15, rec(5000 + j));
+      for (int j = 0; j < 32; ++j) sched.schedule_in(diff::kTau, rec(9000 + j));
+    });
+  };
+  Scheduler cal;
+  cal.register_lane_delay(diff::kTau);
+  load(cal, lane_trace);
+  EXPECT_GT(cal.num_buckets(), 256u);  // grew with all 65 lane events pending
+  EXPECT_EQ(cal.lane_dispatched(), 0u);
+  cal.run();
+  LegacyHeapScheduler heap;
+  load(heap, heap_trace);
+  heap.run();
+  EXPECT_EQ(lane_trace, heap_trace);
+  EXPECT_GE(cal.lane_dispatched(), 65u + 32u);
+}
+
+TEST(KernelLane, ThrowingLaneHandlerKeepsTheExceptionContract) {
+  Scheduler sched;
+  sched.register_lane_delay(diff::kTau);
+  auto token = std::make_shared<int>(3);
+  std::weak_ptr<int> watch = token;
+  std::vector<int> ran;
+  sched.schedule_at(diff::kTau, [t = std::move(token)]() -> void { throw std::runtime_error("x"); });
+  sched.schedule_at(diff::kTau, [&] { ran.push_back(1); });
+  sched.schedule_at(3.0 * diff::kTau, [&] { ran.push_back(3); });  // calendar
+  EXPECT_THROW(sched.run_until(5.0 * diff::kTau), std::runtime_error);
+  EXPECT_TRUE(watch.expired());
+  EXPECT_EQ(sched.events_dispatched(), 1u);
+  EXPECT_EQ(sched.lane_dispatched(), 1u);
+  EXPECT_EQ(sched.now(), diff::kTau);
+  EXPECT_EQ(sched.pending(), 2u);
+  EXPECT_EQ(sched.run_until(5.0 * diff::kTau), 2u);
+  EXPECT_EQ(ran, (std::vector<int>{1, 3}));
+  EXPECT_EQ(sched.now(), 5.0 * diff::kTau);
+  EXPECT_TRUE(sched.empty());
+}
+
+// ---------------------------------------------------------------------
+// Count gate on the Fig 7.8 configuration
+// ---------------------------------------------------------------------
+
+TEST(KernelGate, Fig78DispatchCountsAndLaneShare) {
+  // The Fig 7.8 dual-path point (8x8 double-channel mesh, 150 us mean
+  // interarrival, 10 destinations on average) for 5 ms of arrivals at a
+  // fixed seed, drained to quiescence.  The counts were recorded before
+  // the lane existed: a kernel or network change that adds, drops or
+  // splits an event fails here on every host, with no timing noise.
+  namespace topo = mcnet::topo;
+  namespace worm = mcnet::worm;
+  const topo::Mesh2D mesh(8, 8);
+  const auto router = mcnet::mcast::make_router(mesh, mcnet::mcast::Algorithm::kDualPath, 2);
+  Scheduler sched;
+  worm::Network net(mesh, {.flit_time = 50e-9, .message_flits = 128, .channel_copies = 2},
+                    sched);
+  std::uint64_t deliveries = 0;
+  worm::NetworkHooks hooks;
+  hooks.on_delivery = [&](std::uint64_t, topo::NodeId, double) { ++deliveries; };
+  net.set_hooks(std::move(hooks));
+  worm::TrafficDriver traffic(
+      sched, net, {.mean_interarrival_s = 150e-6, .avg_destinations = 10, .seed = 1}, *router);
+  traffic.start();
+  sched.run_until(0.005);
+  traffic.stop();
+  sched.run();
+
+  EXPECT_EQ(net.messages_injected(), 2137u);
+  EXPECT_EQ(sched.events_dispatched(), 132418u);
+  EXPECT_EQ(deliveries, 21507u);
+  EXPECT_DOUBLE_EQ(static_cast<double>(sched.events_dispatched()) /
+                       static_cast<double>(deliveries),
+                   132418.0 / 21507.0);
+  EXPECT_EQ(sched.events_cancelled(), 0u);
+  EXPECT_TRUE(net.idle());
+  // Header advances and drain milestones ride the lane.
+  EXPECT_GE(static_cast<double>(sched.lane_dispatched()),
+            0.90 * static_cast<double>(sched.events_dispatched()))
+      << sched.lane_dispatched() << " of " << sched.events_dispatched();
 }
 
 }  // namespace

@@ -95,7 +95,7 @@ TEST(GroupService, CreateGroupInstallsViewOne) {
 
   EXPECT_THROW(groups.create_group({}), std::invalid_argument);
   EXPECT_THROW(groups.create_group({0, 99}), std::invalid_argument);
-  EXPECT_THROW(groups.view(999), std::invalid_argument);
+  EXPECT_THROW((void)groups.view(999), std::invalid_argument);
 }
 
 TEST(GroupService, JoinLeaveInstallMonotoneViews) {

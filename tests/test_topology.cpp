@@ -257,6 +257,17 @@ TEST(TopologySpec, NodeCountsAboveTheCapAreRejectedByName) {
   EXPECT_EQ(make_topology("mesh:2048x16")->num_nodes(), 2048u * 16u);
 }
 
+TEST(TopologySpec, OversizedCubesNameTheirShapeAndTheLimit) {
+  expect_rejected("kary:2048x3",
+                  "k-ary n-cube 2048x3 exceeds the topology limit of 4194304 nodes");
+  expect_rejected("karymesh:2048x3", "k-ary n-cube 2048x3 exceeds the topology limit");
+  expect_rejected("kary:2x23", "k-ary n-cube 2x23 exceeds the topology limit of 4194304 nodes");
+  expect_rejected("kary:4294967295x1", "k-ary n-cube 4294967295x1 exceeds the topology limit");
+  expect_rejected("cube:25", "hypercube dimension 25 must be in [1, 20]");
+  expect_rejected("cube:0", "hypercube dimension 0 must be in [1, 20]");
+  EXPECT_EQ(make_topology("kary:8x3")->num_nodes(), 512u);
+}
+
 TEST(TopologySpec, DimensionsAreDigitsOnly) {
   for (const char* spec : {"mesh:4x4x", "mesh:+4x4", "mesh: 4x4", "mesh:4x 4", "mesh:4x4 ",
                            "mesh:-0x4", "mesh:x4", "mesh:4xx4", "mesh:", "cube:+3",

@@ -78,10 +78,28 @@ TEST(ChannelPool, CancelRequestsRemovesWaiters) {
   (void)pool.acquire(0, {1, 0, 0});
   (void)pool.acquire(0, {2, 0, 0});
   (void)pool.acquire(0, {3, 0, 0});
-  pool.cancel_requests(2);
+  (void)pool.acquire(0, {2, 1, 0});  // worm 2's other link stays queued
+  EXPECT_FALSE(pool.cancel_request(1, 2, 0));  // wrong channel
+  EXPECT_FALSE(pool.cancel_request(0, 2, 7));  // wrong link
+  EXPECT_TRUE(pool.cancel_request(0, 2, 0));
+  EXPECT_FALSE(pool.cancel_request(0, 2, 0));  // already gone
+  ASSERT_EQ(pool.waiters(0).size(), 2u);
+  EXPECT_EQ(pool.waiters(0)[0].worm_id, 3u);
   const auto grant = pool.release(0, 0);
   ASSERT_TRUE(grant.has_value());
   EXPECT_EQ(grant->first.worm_id, 3u);
+  const auto next = pool.release(0, 0);
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(next->first.worm_id, 2u);
+  EXPECT_EQ(next->first.link_index, 1u);
+  // A cancelled tail is unlinked cleanly: new waiters queue behind the
+  // survivors.
+  (void)pool.acquire(0, {4, 0, 0});
+  (void)pool.acquire(0, {5, 0, 0});
+  EXPECT_TRUE(pool.cancel_request(0, 5, 0));
+  (void)pool.acquire(0, {6, 0, 0});
+  ASSERT_EQ(pool.waiters(0).size(), 2u);
+  EXPECT_EQ(pool.waiters(0)[1].worm_id, 6u);
 }
 
 // --- Worm timing ------------------------------------------------------------
@@ -303,6 +321,104 @@ TEST(Network, SelfConflictingTreeIsRejected) {
   t.delivery_links = {c};
   route.trees.push_back(t);
   EXPECT_THROW((void)worm::make_worm_specs(mesh, route, 1), std::logic_error);
+}
+
+TEST(Network, KillCancelsOnlyTheFrontierWaitsAndSurvivorsKeepTheirPlace) {
+  // A tree worm T at the centre of a 3x3 mesh holds one frontier link and
+  // queues on three more, each with waiters ahead of and behind it.
+  // Killing T must drop exactly its requests: every survivor keeps its
+  // FCFS place, and T's held link passes to the worm queued behind it.
+  const Mesh2D mesh(3, 3);
+  evsim::Scheduler sched;
+  Network net(mesh, {.flit_time = 1.0, .message_flits = 4, .channel_copies = 1}, sched);
+  std::map<topo::ChannelId, std::vector<std::uint32_t>> grants;
+  std::vector<NodeId> dropped;
+  NetworkHooks hooks;
+  hooks.on_channel_grant = [&](topo::ChannelId c, std::uint8_t, std::uint32_t worm, double) {
+    grants[c].push_back(worm);
+  };
+  hooks.on_drop = [&](std::uint64_t, NodeId d, double) { dropped.push_back(d); };
+  net.set_hooks(std::move(hooks));
+
+  const NodeId centre = 4;
+  const auto link = [&](NodeId to) {
+    return worm::WormLink{mesh.channel(centre, to), centre, to, 1, worm::kAnyCopy};
+  };
+  const auto path = [&](NodeId to) {
+    return net.inject({worm::WormSpec{{link(to)}, {{1, to}}}});
+  };
+  // Worm ids follow injection order (no slot is freed before the kill).
+  path(5);  // worm 0 holds 4->5
+  path(7);  // worm 1 holds 4->7
+  path(3);  // worm 2 holds 4->3
+  path(5);  // worm 3 waits on 4->5 ahead of T
+  path(3);  // worm 4 waits on 4->3 ahead of T
+  const std::uint64_t tree = net.inject(
+      {worm::WormSpec{{link(1), link(3), link(5), link(7)}, {{1, 1}, {1, 3}, {1, 5}, {1, 7}}}});
+  path(5);  // worm 6 waits on 4->5 behind T
+  path(7);  // worm 7 waits on 4->7 behind T
+  path(3);  // worm 8 waits on 4->3 behind T
+  path(1);  // worm 9 waits on 4->1, which T holds
+
+  const auto queued = [&](NodeId to) {
+    std::vector<std::uint32_t> ids;
+    for (const ChannelRequest& r : net.pool().waiters(mesh.channel(centre, to))) {
+      ids.push_back(r.worm_id);
+    }
+    return ids;
+  };
+  ASSERT_EQ(queued(5), (std::vector<std::uint32_t>{3, 5, 6}));
+  ASSERT_EQ(queued(3), (std::vector<std::uint32_t>{4, 5, 8}));
+  ASSERT_EQ(queued(7), (std::vector<std::uint32_t>{5, 7}));
+  ASSERT_EQ(net.pool().holder(mesh.channel(centre, 1), 0), 5u);
+
+  net.abort_message(tree);
+  EXPECT_EQ(queued(5), (std::vector<std::uint32_t>{3, 6}));
+  EXPECT_EQ(queued(3), (std::vector<std::uint32_t>{4, 8}));
+  EXPECT_EQ(queued(7), (std::vector<std::uint32_t>{7}));
+  EXPECT_TRUE(queued(1).empty());
+  EXPECT_EQ(net.pool().holder(mesh.channel(centre, 1), 0), 9u);  // T's hold passed on
+  EXPECT_EQ(dropped, (std::vector<NodeId>{1, 3, 5, 7}));
+  EXPECT_EQ(net.worms_killed(), 1u);
+
+  sched.run();
+  EXPECT_TRUE(net.idle());
+  EXPECT_EQ(net.pool().busy_count(), 0u);
+  EXPECT_EQ(grants[mesh.channel(centre, 5)], (std::vector<std::uint32_t>{0, 3, 6}));
+  EXPECT_EQ(grants[mesh.channel(centre, 3)], (std::vector<std::uint32_t>{2, 4, 8}));
+  EXPECT_EQ(grants[mesh.channel(centre, 7)], (std::vector<std::uint32_t>{1, 7}));
+  EXPECT_EQ(grants[mesh.channel(centre, 1)], (std::vector<std::uint32_t>{5, 9}));
+  EXPECT_EQ(net.messages_completed(), 10u);
+}
+
+TEST(Network, GrantHookMayKillTheWormItWasGranted) {
+  // Channel-trace hooks may kill worms.  When the hook kills the worm a
+  // release cascade has just handed a channel to, the grant must already
+  // be on record, so the kill releases that channel again and nothing
+  // runs for the retired worm afterwards.
+  const Mesh2D mesh(4, 1);
+  evsim::Scheduler sched;
+  Network net(mesh, {.flit_time = 1.0, .message_flits = 4, .channel_copies = 1}, sched);
+  std::uint64_t victim = 0;
+  std::vector<NodeId> dropped;
+  NetworkHooks hooks;
+  hooks.on_channel_grant = [&](topo::ChannelId, std::uint8_t, std::uint32_t worm, double) {
+    if (worm == 1) net.abort_message(victim);
+  };
+  hooks.on_drop = [&](std::uint64_t, NodeId d, double) { dropped.push_back(d); };
+  net.set_hooks(std::move(hooks));
+  const auto hop = [&](NodeId from, NodeId to, std::uint32_t depth) {
+    return worm::WormLink{mesh.channel(from, to), from, to, depth, worm::kAnyCopy};
+  };
+  net.inject({worm::WormSpec{{hop(0, 1, 1), hop(1, 2, 2)}, {{2, 2}}}});  // worm 0 holds 0->1
+  victim = net.inject({worm::WormSpec{{hop(0, 1, 1), hop(1, 2, 2), hop(2, 3, 3)}, {{3, 3}}}});
+  sched.run();
+  EXPECT_EQ(dropped, (std::vector<NodeId>{3}));
+  EXPECT_EQ(net.worms_killed(), 1u);
+  EXPECT_TRUE(net.idle());
+  EXPECT_EQ(net.pool().busy_count(), 0u);
+  EXPECT_EQ(net.pool().holder(mesh.channel(0, 1), 0), worm::kNoWorm);
+  EXPECT_EQ(net.messages_completed(), 2u);
 }
 
 // --- Malformed worm specs ----------------------------------------------------
