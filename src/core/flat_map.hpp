@@ -2,20 +2,18 @@
 // state that used to live in std::map nodes (ROADMAP item 2: "the
 // per-group std::map state wants arena/flat storage at that size").
 //
-// One contiguous allocation per map instead of one node per entry: with
-// thousands of concurrent groups, each holding per-member sender windows,
-// detector rows and incarnations, the node-based maps dominated both
-// memory traffic and cache misses.  Keys stay sorted, so lookups are
-// binary searches over a dense array and iteration is a linear scan.
-// State looked up on every delivery wants no search at all: GroupService
-// keeps its receiver streams in a table indexed by member slot.
+// One contiguous allocation per map instead of one node per entry.  Keys
+// stay sorted, so lookups are binary searches over a dense array and
+// iteration is a linear scan.  GroupService keeps each in-flight
+// message's owed destinations, each receiver stream's early arrivals and
+// its hook tables in FlatMaps; per-member and per-pair group state wants
+// no search at all and lives in tables indexed by member slot.
 //
 // Semantics intentionally differ from std::map in one way that callers
 // must respect: insertion and erasure invalidate ALL iterators and
 // references (vector reallocation / element shifting).  Code that calls
-// out to user callbacks re-finds its entries afterwards instead of
-// holding references across the call (see group_service.cpp for the
-// mutate-then-notify discipline this forces).
+// out to user callbacks must not hold a reference into a map the callback
+// may insert into or erase from.
 #pragma once
 
 #include <algorithm>

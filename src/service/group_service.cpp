@@ -9,20 +9,6 @@
 #include "fault/fault_state.hpp"
 #include "obs/metrics.hpp"
 
-// FlatMap discipline (see core/flat_map.hpp): inserts invalidate
-// references, and every user callback (app delivery, send reports, view
-// hooks) can re-enter send()/join() and insert.  The rules this file
-// follows throughout:
-//  * per-member entries (senders, incarnation, detector rows) are
-//    pre-populated at view installs, so the send path never inserts;
-//  * any reference into a FlatMap is dropped before a callback fires and
-//    re-found afterwards (advance_window / stream_update loop one step
-//    per call-out);
-//  * the stream table grows when join() gives a node its first slot, so
-//    stream references follow the same rule;
-//  * PendingMsg::dests is fixed at launch and only mutated in place, so
-//    references into it stay valid across callbacks.
-
 namespace mcnet::svc {
 namespace {
 
@@ -34,12 +20,11 @@ constexpr std::uint64_t kHeartbeatPhaseSeed = 0x67727068ULL;  // "grph"
 // EWMA weight for heartbeat interarrival smoothing.
 constexpr double kInterarrivalAlpha = 0.25;
 
-// A group's receiver streams live in one vector over (receiver slot,
-// sender slot) pairs, laid out shell by shell: the pairs whose larger slot
-// is k occupy [k*k, (k+1)*(k+1)).  Slots below k thus fill the first k*k
-// entries, and assigning slot k appends its 2k + 1 streams without moving
-// any other stream's index.
-std::size_t stream_index(std::uint32_t receiver, std::uint32_t sender) {
+// A group's pair table covers (receiver slot, sender slot) pairs, laid out
+// shell by shell: the pairs whose larger slot is k occupy [k*k, (k+1)*(k+1)).
+// Slots below k thus fill the first k*k entries, and assigning slot k
+// appends its 2k + 1 pairs without moving any other pair's index.
+std::size_t pair_index(std::uint32_t receiver, std::uint32_t sender) {
   const std::size_t k = std::max(receiver, sender);
   return k * k + (receiver == k ? sender : k + 1 + receiver);
 }
@@ -79,16 +64,24 @@ bool MembershipView::contains(topo::NodeId n) const {
   return std::binary_search(members.begin(), members.end(), n);
 }
 
-void GroupService::Group::assign_slot(topo::NodeId node) {
+void GroupService::Group::assign_slot(topo::NodeId node, std::uint32_t window_size) {
   if (slot_of[node] != kNoSlot) return;
-  const std::uint32_t k = num_slots++;
-  slot_of[node] = k;
-  streams.resize(std::size_t{num_slots} * num_slots);
+  slot_of[node] = static_cast<std::uint32_t>(slots.size());
+  slots.emplace_back().node = node;
+  slots.back().sender.ring.resize(window_size);
+  pairs.resize(slots.size() * slots.size());
 }
 
-std::optional<GroupService::ReceiverStream>& GroupService::Group::stream(
-    topo::NodeId receiver, topo::NodeId sender) {
-  return streams[stream_index(slot_of[receiver], slot_of[sender])];
+GroupService::Pair& GroupService::Group::pair(topo::NodeId receiver, topo::NodeId sender) {
+  return pairs[pair_index(slot_of[receiver], slot_of[sender])];
+}
+
+const GroupService::Member* GroupService::Group::find(topo::NodeId node) const {
+  return node < slot_of.size() && slot_of[node] != kNoSlot ? &slots[slot_of[node]] : nullptr;
+}
+
+bool GroupService::Group::is_member(topo::NodeId node, std::uint64_t incarnation) const {
+  return view.contains(node) && slots[slot_of[node]].incarnation == incarnation;
 }
 
 GroupService::GroupService(MulticastService& service, GroupConfig config)
@@ -134,11 +127,10 @@ GroupId GroupService::create_group(std::vector<topo::NodeId> members) {
   groups_.push_back(std::make_unique<Group>());
   Group& g = *groups_.back();
   g.id = id;
-  g.incarnation.reserve(members.size());
   g.slot_of.assign(num_nodes, Group::kNoSlot);
   for (const topo::NodeId m : members) {
-    g.incarnation[m] = 1;
-    g.assign_slot(m);
+    g.assign_slot(m, config_.window_size);
+    g.member(m).incarnation = 1;
   }
   install_view(g, std::move(members));
   for (const topo::NodeId m : g.view.members) start_heartbeat(id, m, 1);
@@ -159,11 +151,11 @@ void GroupService::join(GroupId group, topo::NodeId node) {
   stats_.joins++;
   if (metrics_.active()) metrics_.joins->inc();
 
-  const std::uint64_t inc = ++g.incarnation[node];
+  g.assign_slot(node, config_.window_size);
+  const std::uint64_t inc = ++g.member(node).incarnation;
   std::vector<topo::NodeId> members = g.view.members;
   members.push_back(node);
 
-  g.assign_slot(node);
   reset_joiner_streams(g, node);
 
   install_view(g, std::move(members));
@@ -186,14 +178,10 @@ void GroupService::reset_joiner_streams(Group& g, topo::NodeId joiner) {
     // contains m).  Flooring at next_seq -- what the pre-fix code did for
     // every peer, existing stream or not -- silently discards all of
     // those when they arrive.
-    const auto sit = g.senders.find(joiner);
-    if (sit == g.senders.end()) return 0;
-    const SenderState& st = sit->second;
-    if (!st.ring.empty()) {
-      for (SeqNum q = st.lowest_unstable; q < st.next_seq; ++q) {
-        const auto& slot = st.ring[q % config_.window_size];
-        if (slot && slot->seq == q && slot->dests.contains(peer)) return q;
-      }
+    const SenderState& st = g.member(joiner).sender;
+    for (SeqNum q = st.lowest_unstable; q < st.next_seq; ++q) {
+      const auto& slot = st.ring[q % config_.window_size];
+      if (slot && slot->seq == q && slot->dests.contains(peer)) return q;
     }
     if (!st.queue.empty()) return st.queue.front().seq;
     return st.next_seq;
@@ -202,9 +190,8 @@ void GroupService::reset_joiner_streams(Group& g, topo::NodeId joiner) {
   for (const topo::NodeId m : g.view.members) {
     if (m == joiner) continue;
 
-    const auto sit = g.senders.find(m);
-    const SeqNum m_floor = sit == g.senders.end() ? 0 : sit->second.next_seq;
-    std::optional<ReceiverStream>& in = g.stream(joiner, m);
+    const SeqNum m_floor = g.member(m).sender.next_seq;
+    std::optional<ReceiverStream>& in = g.pair(joiner, m).stream;
     if (!in) {
       in.emplace(ReceiverStream{m_floor, {}});
     } else {
@@ -217,7 +204,7 @@ void GroupService::reset_joiner_streams(Group& g, topo::NodeId joiner) {
 
     // A continuous member's progress through the joiner's in-flight sends
     // is never reset -- only streams that do not exist yet are created.
-    std::optional<ReceiverStream>& out = g.stream(m, joiner);
+    std::optional<ReceiverStream>& out = g.pair(m, joiner).stream;
     if (!out) out.emplace(ReceiverStream{joiner_floor(m), {}});
   }
 }
@@ -250,38 +237,23 @@ void GroupService::install_view(Group& g, std::vector<topo::NodeId> members) {
   v.members = std::move(members);
   v.installed_at_s = now;
   v.fault_epoch = faults.epoch();
+
+  // Detector bookkeeping follows membership: a pair that was in the
+  // previous view keeps its track, and a pair entering the view starts
+  // with a full grace period.
+  for (const topo::NodeId observer : v.members) {
+    const bool stayed = g.view.contains(observer);
+    for (const topo::NodeId subject : v.members) {
+      if (subject != observer && !(stayed && g.view.contains(subject))) {
+        g.pair(observer, subject).track = HeartbeatTrack{now, 0.0, false};
+      }
+    }
+  }
+
   g.view = v;
   g.history.push_back(v);
   stats_.view_installs++;
   if (metrics_.active()) metrics_.view_installs->inc();
-
-  // Detector bookkeeping follows membership: departed members neither
-  // observe nor are observed; fresh pairs start with a full grace period.
-  g.detector.retain([&v](const topo::NodeId& observer, const auto&) {
-    return v.contains(observer);
-  });
-  for (auto& [observer, row] : g.detector) {
-    row.retain([&v](const topo::NodeId& subject, const HeartbeatTrack&) {
-      return v.contains(subject);
-    });
-  }
-  for (const topo::NodeId observer : v.members) {
-    auto& row = g.detector[observer];
-    row.reserve(v.members.size() - 1);
-    for (const topo::NodeId subject : v.members) {
-      if (subject == observer) continue;
-      row.try_emplace(subject, HeartbeatTrack{now, 0.0, false});
-    }
-  }
-
-  // Pre-populate sender-window state for every member, so the send path
-  // (and everything re-entering it from callbacks) only ever *finds*
-  // entries -- the FlatMap insert that would invalidate live references
-  // happens here, at the view boundary, instead.
-  for (const topo::NodeId m : v.members) {
-    auto [sit, inserted] = g.senders.try_emplace(m);
-    if (inserted) sit->second.ring.resize(config_.window_size);
-  }
 
   // Announce the view as real traffic from the first live member (the
   // coordinator when it is alive), so view changes contend for channels
@@ -309,30 +281,24 @@ void GroupService::install_view(Group& g, std::vector<topo::NodeId> members) {
 
   // Re-evaluate in-flight messages: destinations no longer in the view
   // (or re-joined under a new incarnation) stop being owed, so a window
-  // blocked on a dead receiver drains now instead of deadlocking.
-  // Snapshot the unstable messages per sender first: finish_destination
-  // fires callbacks that can re-enter send() and invalidate sender state.
+  // blocked on a dead receiver drains now instead of deadlocking.  Senders
+  // go in ascending node id, over every node that ever held a slot.
+  // Snapshot each sender's unstable messages first: finish_destination
+  // fires callbacks that can re-enter send() and retire or reuse ring slots.
   std::vector<topo::NodeId> sender_ids;
-  sender_ids.reserve(g.senders.size());
-  for (const auto& [node, st] : g.senders) sender_ids.push_back(node);
+  sender_ids.reserve(g.slots.size());
+  for (const Member& m : g.slots) sender_ids.push_back(m.node);
+  std::sort(sender_ids.begin(), sender_ids.end());
   for (const topo::NodeId s : sender_ids) {
     std::vector<std::shared_ptr<PendingMsg>> inflight;
-    {
-      const auto sit = g.senders.find(s);
-      if (sit == g.senders.end() || sit->second.ring.empty()) continue;
-      const SenderState& st = sit->second;
-      for (SeqNum q = st.lowest_unstable; q < st.next_seq; ++q) {
-        const auto& slot = st.ring[q % config_.window_size];
-        if (slot && slot->seq == q) inflight.push_back(slot);
-      }
+    const SenderState& st = g.member(s).sender;
+    for (SeqNum q = st.lowest_unstable; q < st.next_seq; ++q) {
+      const auto& slot = st.ring[q % config_.window_size];
+      if (slot && slot->seq == q) inflight.push_back(slot);
     }
     for (const auto& msg : inflight) {
       for (auto& [dest, ds] : msg->dests) {
-        if (ds.terminal) continue;
-        const auto iit = g.incarnation.find(dest);
-        const bool member = g.view.contains(dest) && iit != g.incarnation.end() &&
-                            iit->second == ds.incarnation;
-        if (!member) {
+        if (!ds.terminal && !g.is_member(dest, ds.incarnation)) {
           finish_destination(g, s, *msg, dest, GroupOutcome::kEvicted, -1.0);
         }
       }
@@ -363,10 +329,7 @@ void GroupService::heartbeat_tick(GroupId group, topo::NodeId node,
   Group& g = *groups_[group - 1];
   // The timer dies with the membership incarnation; a rejoin starts a
   // fresh one.
-  const auto iit = g.incarnation.find(node);
-  if (!g.view.contains(node) || iit == g.incarnation.end() || iit->second != incarnation) {
-    return;
-  }
+  if (!g.is_member(node, incarnation)) return;
 
   const auto& faults = *service_->network().fault_state();
   // A failed node sends nothing (that silence is what the detector reads),
@@ -406,11 +369,9 @@ void GroupService::heartbeat_tick(GroupId group, topo::NodeId node,
 
 void GroupService::record_heartbeat(Group& g, topo::NodeId observer, topo::NodeId subject,
                                     double at) {
-  const auto rit = g.detector.find(observer);
-  if (rit == g.detector.end()) return;  // observer no longer a member
-  const auto tit = rit->second.find(subject);
-  if (tit == rit->second.end()) return;  // subject no longer a member
-  HeartbeatTrack& t = tit->second;
+  // A pair that has left the view updates a track nobody reads; the
+  // install that brings the pair back starts it afresh.
+  HeartbeatTrack& t = g.pair(observer, subject).track;
   const double interval = at - t.last_heard;
   if (interval > 0.0) {
     t.smoothed_interval = t.smoothed_interval == 0.0
@@ -440,19 +401,17 @@ void GroupService::detector_sweep(Group& g) {
 
   // Failed members neither gossip suspicions nor vote: their tracks have
   // frozen, so counting them would eventually indict everyone.
-  util::FlatMap<topo::NodeId, std::size_t> votes;
   std::size_t live = 0;
-  for (const topo::NodeId observer : g.view.members) {
-    if (faults.node_failed(observer)) continue;
-    ++live;
-    const auto rit = g.detector.find(observer);
-    if (rit == g.detector.end()) continue;
-    auto& row = rit->second;
-    for (const topo::NodeId subject : g.view.members) {
-      if (subject == observer) continue;
-      const auto tit = row.find(subject);
-      if (tit == row.end()) continue;
-      HeartbeatTrack& t = tit->second;
+  for (const topo::NodeId m : g.view.members) live += faults.node_failed(m) ? 0 : 1;
+
+  // Evict subjects suspected by a strict majority of the live co-members,
+  // deciding in ascending node id.
+  std::vector<topo::NodeId> evicted;
+  for (const topo::NodeId subject : g.view.members) {
+    std::size_t votes = 0;
+    for (const topo::NodeId observer : g.view.members) {
+      if (observer == subject || faults.node_failed(observer)) continue;
+      HeartbeatTrack& t = g.pair(observer, subject).track;
       const double silence = now - t.last_heard;
       const double threshold =
           std::max(config_.phi_threshold * t.smoothed_interval,
@@ -463,17 +422,11 @@ void GroupService::detector_sweep(Group& g) {
           stats_.suspicions++;
           if (metrics_.active()) metrics_.suspicions->inc();
         }
-        votes[subject]++;
+        ++votes;
       }
     }
-  }
-
-  // Evict subjects suspected by a strict majority of the live co-members.
-  std::vector<topo::NodeId> evicted;
-  for (const auto& [subject, n] : votes) {
     const std::size_t voters = live - (faults.node_failed(subject) ? 0 : 1);
-    if (voters == 0) continue;
-    if (n * 2 > voters) evicted.push_back(subject);
+    if (voters > 0 && votes * 2 > voters) evicted.push_back(subject);
   }
   if (evicted.empty()) return;
 
@@ -530,9 +483,7 @@ SeqNum GroupService::send_to(GroupId group, topo::NodeId sender,
 
 SeqNum GroupService::enqueue_or_launch(Group& g, topo::NodeId sender, ReportFn on_report,
                                        std::vector<topo::NodeId> dests, bool subset) {
-  SenderState& st = g.senders[sender];
-  if (st.ring.empty()) st.ring.resize(config_.window_size);
-
+  SenderState& st = g.member(sender).sender;
   const SeqNum seq = st.next_seq++;
   stats_.sends++;
   if (metrics_.active()) metrics_.sends->inc();
@@ -572,17 +523,12 @@ void GroupService::launch(Group& g, topo::NodeId sender, SeqNum seq, ReportFn on
       holes.push_back(m);
       continue;
     }
-    msg->dests.try_emplace(m, PendingMsg::Dest{g.incarnation[m], false,
+    msg->dests.try_emplace(m, PendingMsg::Dest{g.member(m).incarnation, false,
                                                GroupOutcome::kDropped, -1.0});
     dests.push_back(m);
   }
   msg->open = msg->dests.size();
-  {
-    const auto sit = g.senders.find(sender);
-    sit->second.ring[seq % config_.window_size] = msg;
-  }
-  // Hole-plugging surfaces in-order deliveries, i.e. fires callbacks --
-  // nothing below may rely on sender-state references.
+  g.member(sender).sender.ring[seq % config_.window_size] = msg;
   for (const topo::NodeId m : holes) stream_update(g, m, sender, seq, false);
   if (dests.empty()) return;  // singleton group / fully-evicted subset
 
@@ -602,19 +548,14 @@ void GroupService::classify_delivery(GroupId group, SeqNum seq, topo::NodeId sen
                                      topo::NodeId dest, double latency) {
   if (group == 0 || group > groups_.size()) return;
   Group& g = *groups_[group - 1];
-  std::shared_ptr<PendingMsg> msg;
-  {
-    const auto sit = g.senders.find(sender);
-    if (sit == g.senders.end() || sit->second.ring.empty()) return;
-    const auto& slot = sit->second.ring[seq % config_.window_size];
-    if (!slot || slot->seq != seq) {
-      // The message already stabilised (its owed set shrank under a view
-      // change); a delivery landing now is to an evicted member -- discard.
-      stats_.delivered_filtered++;
-      if (metrics_.active()) metrics_.delivered_filtered->inc();
-      return;
-    }
-    msg = slot;
+  const std::shared_ptr<PendingMsg> msg =
+      g.member(sender).sender.ring[seq % config_.window_size];
+  if (!msg || msg->seq != seq) {
+    // The message already stabilised (its owed set shrank under a view
+    // change); a delivery landing now is to an evicted member -- discard.
+    stats_.delivered_filtered++;
+    if (metrics_.active()) metrics_.delivered_filtered->inc();
+    return;
   }
   const auto dit = msg->dests.find(dest);
   if (dit == msg->dests.end() || dit->second.terminal) {
@@ -623,10 +564,7 @@ void GroupService::classify_delivery(GroupId group, SeqNum seq, topo::NodeId sen
     return;
   }
 
-  const auto iit = g.incarnation.find(dest);
-  const bool member = g.view.contains(dest) && iit != g.incarnation.end() &&
-                      iit->second == dit->second.incarnation;
-  if (member) {
+  if (g.is_member(dest, dit->second.incarnation)) {
     finish_destination(g, sender, *msg, dest, GroupOutcome::kDeliveredInView, latency);
   } else {
     stats_.delivered_filtered++;
@@ -640,14 +578,9 @@ void GroupService::reliable_report(GroupId group, topo::NodeId sender, SeqNum se
                                    const DeliveryReport& report) {
   if (group == 0 || group > groups_.size()) return;
   Group& g = *groups_[group - 1];
-  std::shared_ptr<PendingMsg> msg;
-  {
-    const auto sit = g.senders.find(sender);
-    if (sit == g.senders.end() || sit->second.ring.empty()) return;
-    const auto& slot = sit->second.ring[seq % config_.window_size];
-    if (!slot || slot->seq != seq) return;  // already stable via evictions
-    msg = slot;
-  }
+  const std::shared_ptr<PendingMsg> msg =
+      g.member(sender).sender.ring[seq % config_.window_size];
+  if (!msg || msg->seq != seq) return;  // already stable via evictions
 
   for (const auto& d : report.destinations) {
     const auto dit = msg->dests.find(d.node);
@@ -656,9 +589,7 @@ void GroupService::reliable_report(GroupId group, topo::NodeId sender, SeqNum se
       case DeliveryReport::Status::kDelivered: {
         // Normally classified by the per-delivery callback; fall back to
         // the same membership check here.
-        const auto iit = g.incarnation.find(d.node);
-        const bool member = g.view.contains(d.node) && iit != g.incarnation.end() &&
-                            iit->second == dit->second.incarnation;
+        const bool member = g.is_member(d.node, dit->second.incarnation);
         finish_destination(g, sender, *msg, d.node,
                            member ? GroupOutcome::kDeliveredInView
                                   : GroupOutcome::kEvicted,
@@ -713,21 +644,15 @@ void GroupService::finish_destination(Group& g, topo::NodeId sender, PendingMsg&
 
 void GroupService::advance_window(Group& g, topo::NodeId sender) {
   const std::uint32_t w = config_.window_size;
-  // One stabilisation or one queued launch per iteration, re-finding the
-  // sender state each time: fire_report and launch both run user code.
+  // One stabilisation or one queued launch per iteration, re-reading the
+  // window each time: fire_report and launch both run user code, which
+  // may send from this sender.
+  SenderState& st = g.member(sender).sender;
   for (;;) {
-    const auto sit = g.senders.find(sender);
-    if (sit == g.senders.end()) return;
-    SenderState& st = sit->second;
-    if (st.ring.empty()) {
-      update_stalled(st);
-      return;
-    }
     if (st.lowest_unstable < st.next_seq) {
       auto& slot = st.ring[st.lowest_unstable % w];
       if (slot && slot->seq == st.lowest_unstable && slot->open == 0) {
-        const auto msg = slot;
-        slot.reset();
+        const auto msg = std::move(slot);
         ++st.lowest_unstable;
         fire_report(g, sender, *msg);
         continue;
@@ -758,10 +683,7 @@ void GroupService::fire_report(Group& g, topo::NodeId sender, const PendingMsg& 
     r.destinations.push_back(GroupSendReport::Destination{node, ds.outcome, ds.latency_s});
     // A destination still in the group that did not get the message in
     // view breaks virtual-synchrony stability; one that departed does not.
-    const auto iit = g.incarnation.find(node);
-    const bool still_member = g.view.contains(node) && iit != g.incarnation.end() &&
-                              iit->second == ds.incarnation;
-    if (still_member && ds.outcome != GroupOutcome::kDeliveredInView) {
+    if (g.is_member(node, ds.incarnation) && ds.outcome != GroupOutcome::kDeliveredInView) {
       r.stable_in_view = false;
     }
   }
@@ -773,22 +695,16 @@ void GroupService::fire_report(Group& g, topo::NodeId sender, const PendingMsg& 
 
 void GroupService::stream_update(Group& g, topo::NodeId receiver, topo::NodeId sender,
                                  SeqNum seq, bool deliverable) {
-  {
-    std::optional<ReceiverStream>& entry = g.stream(receiver, sender);
-    ReceiverStream& stream = entry ? *entry : entry.emplace();
-    if (seq < stream.next) return;  // before this receiver's join floor
-    stream.pending.insert_or_assign(seq, deliverable);
-  }
-  // Surface in-order deliveries one at a time, looking the stream up again
-  // after each: notify_delivery runs user code whose join() can grow the
-  // stream table.
-  for (;;) {
-    ReceiverStream& stream = g.stream(receiver, sender).value();
-    if (stream.pending.empty() || stream.pending.begin()->first != stream.next) return;
+  std::optional<ReceiverStream>& entry = g.pair(receiver, sender).stream;
+  ReceiverStream& stream = entry ? *entry : entry.emplace();
+  if (seq < stream.next) return;  // before this receiver's join floor
+  stream.pending.insert_or_assign(seq, deliverable);
+  // Surface in-order deliveries one at a time, re-reading the stream after
+  // each: notify_delivery runs user code that may feed this same stream.
+  while (!stream.pending.empty() && stream.pending.begin()->first == stream.next) {
     const bool ok = stream.pending.begin()->second;
     stream.pending.erase(stream.pending.begin());
-    ++stream.next;
-    const SeqNum surfaced = stream.next - 1;
+    const SeqNum surfaced = stream.next++;
     if (ok && g.view.contains(receiver)) {
       stats_.app_deliveries++;
       if (metrics_.active()) metrics_.app_deliveries->inc();
@@ -861,18 +777,16 @@ const std::vector<MembershipView>& GroupService::view_history(GroupId group) con
 }
 
 std::size_t GroupService::in_flight(GroupId group, topo::NodeId sender) const {
-  const Group& g = group_at(group);
-  const auto sit = g.senders.find(sender);
-  if (sit == g.senders.end()) return 0;
+  const Member* m = group_at(group).find(sender);
+  if (m == nullptr) return 0;
   std::size_t n = 0;
-  for (const auto& slot : sit->second.ring) n += slot ? 1 : 0;
+  for (const auto& slot : m->sender.ring) n += slot ? 1 : 0;
   return n;
 }
 
 std::size_t GroupService::queued(GroupId group, topo::NodeId sender) const {
-  const Group& g = group_at(group);
-  const auto sit = g.senders.find(sender);
-  return sit == g.senders.end() ? 0 : sit->second.queue.size();
+  const Member* m = group_at(group).find(sender);
+  return m == nullptr ? 0 : m->sender.queue.size();
 }
 
 void GroupService::set_metrics(obs::MetricsRegistry* registry) {

@@ -297,39 +297,55 @@ class GroupService {
     util::FlatMap<SeqNum, bool> pending;        // seq -> deliverable (false = hole)
   };
 
-  /// Per-group state.  Per-member maps are FlatMaps (sorted vectors) so
-  /// thousands of concurrent groups stay cache-dense; the price is that
-  /// inserts invalidate references, which the .cpp handles by
-  /// pre-populating per-member entries at view installs and re-finding
-  /// entries after any callback boundary.  The receiver streams, touched
-  /// on every delivery, are indexed by member slot instead.
+  /// Everything a group keeps per member slot.
+  struct Member {
+    topo::NodeId node = topo::kInvalidNode;
+    /// Join incarnation (bumped on every join), so a delivery racing an
+    /// evict+rejoin cannot count for the old incarnation.
+    std::uint64_t incarnation = 0;
+    SenderState sender;
+  };
+
+  /// Everything a group keeps per (receiver slot, sender slot) pair.  The
+  /// receiver is also the detector's observer and the sender its subject.
+  struct Pair {
+    std::optional<ReceiverStream> stream;  // empty until first used
+    /// Meaningful only while both nodes are members: install_view starts a
+    /// fresh track for every pair that enters the view.
+    HeartbeatTrack track;
+  };
+
+  /// Per-group state, all of it on member slots.  A node gets a dense slot
+  /// the first time it becomes a member, and slots are never reused.  Both
+  /// tables only append, and a std::deque keeps every element in place
+  /// across appends, so a reference into either survives any callback,
+  /// including one that join()s a new member.
   struct Group {
     GroupId id = 0;
     MembershipView view;
     std::vector<MembershipView> history;
-    /// Join incarnation per member (bumped on every join), so a delivery
-    /// racing an evict+rejoin cannot count for the old incarnation.
-    util::FlatMap<topo::NodeId, std::uint64_t> incarnation;
-    util::FlatMap<topo::NodeId, SenderState> senders;
-    /// observer -> subject -> heartbeat bookkeeping.
-    util::FlatMap<topo::NodeId, util::FlatMap<topo::NodeId, HeartbeatTrack>> detector;
     /// Member slot per topology node, kNoSlot until the node first becomes
-    /// a member.  Slots are dense, handed out in order of first membership
-    /// and never reused, so a group holds (members ever)^2 streams.
+    /// a member.
     std::vector<std::uint32_t> slot_of;
-    std::uint32_t num_slots = 0;
-    /// (receiver slot, sender slot) -> in-order stream state, empty until
-    /// the stream is first used; laid out by stream_index() in the .cpp.
-    std::vector<std::optional<ReceiverStream>> streams;
+    /// Slot -> member state.
+    std::deque<Member> slots;
+    /// (receiver slot, sender slot) -> pair state, laid out by pair_index()
+    /// in the .cpp so a new slot appends its row and column; a group holds
+    /// (members ever)^2 entries.
+    std::deque<Pair> pairs;
 
     static constexpr std::uint32_t kNoSlot = 0xffffffffU;
 
-    /// Give `node` the next slot unless it already holds one; grows
-    /// `streams` by the new slot's row and column.
-    void assign_slot(topo::NodeId node);
-    /// The (receiver, sender) stream entry; both nodes must hold slots.
-    /// Invalidated by assign_slot, i.e. by any join().
-    std::optional<ReceiverStream>& stream(topo::NodeId receiver, topo::NodeId sender);
+    /// Give `node` the next slot unless it already holds one: appends its
+    /// member entry (a sender ring of `window_size` slots) and its pairs.
+    void assign_slot(topo::NodeId node, std::uint32_t window_size);
+    /// The entries of nodes that hold slots.
+    Member& member(topo::NodeId node) { return slots[slot_of[node]]; }
+    Pair& pair(topo::NodeId receiver, topo::NodeId sender);
+    /// The member entry of `node`, or nullptr if it never held a slot.
+    [[nodiscard]] const Member* find(topo::NodeId node) const;
+    /// True while `node` is a member of the current view in `incarnation`.
+    [[nodiscard]] bool is_member(topo::NodeId node, std::uint64_t incarnation) const;
   };
 
   Group& group_at(GroupId group);
@@ -367,9 +383,7 @@ class GroupService {
   void finish_destination(Group& g, topo::NodeId sender, PendingMsg& msg,
                           topo::NodeId dest, GroupOutcome outcome, double latency);
   /// Advance the window past stable slots; launch queued sends; fire the
-  /// report of every message that just became stable.  Looks the sender
-  /// state up fresh after every callback boundary (FlatMap references do
-  /// not survive re-entrant sends from callbacks).
+  /// report of every message that just became stable.
   void advance_window(Group& g, topo::NodeId sender);
   void fire_report(Group& g, topo::NodeId sender, const PendingMsg& msg);
   /// Feed (sender, seq, deliverable) into the receiver's in-order stream.

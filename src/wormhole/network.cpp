@@ -478,44 +478,45 @@ void Network::drain_step(std::uint32_t worm_id) {
   const double t_finish =
       w.drain_t0 + static_cast<double>(params_.message_flits) * params_.flit_time;
   if (w.t_delivery == kNever && w.t_release == kNever && t_finish <= now) {
-    finish_worm(worm_id);
+    ++worm_gen_[worm_id];  // invalidate victim snapshots / in-flight loop guards
+    retire_worm(worm_id, {});
     return;
   }
   arm_drain(worm_id);
 }
 
-void Network::finish_worm(std::uint32_t worm_id) {
-  // Retire the worm slot completely before firing the completion hook: the
-  // hook may inject new multicasts, reallocating worms_ / messages_ and
-  // reusing this slot.
-  ++worm_gen_[worm_id];  // invalidate victim snapshots / in-flight loop guards
-  worms_[worm_id].pending = evsim::EventId{};  // drain_step (running now) armed nothing
-  const std::uint64_t message_id = worms_[worm_id].message;
-  blocked_time_total_ += worms_[worm_id].blocked_time;
-  {
-    Worm& w = worms_[worm_id];
-    w.active = false;
-    w.links.clear();
-    w.links.shrink_to_fit();
-    w.deliveries.clear();
-    w.copy_used.clear();
-    w.depth_start.clear();
-  }
+void Network::retire_worm(std::uint32_t worm_id, const std::vector<NodeId>& dropped) {
+  // Retire the slot completely before any hook fires: a hook may inject
+  // new multicasts, reallocating worms_ / messages_ and reusing this slot.
+  Worm& w = worms_[worm_id];
+  const std::uint64_t message_id = w.message;
+  blocked_time_total_ += w.blocked_time;
+  w.active = false;
+  w.links.clear();
+  w.links.shrink_to_fit();
+  w.deliveries.clear();
+  w.copy_used.clear();
+  w.depth_start.clear();
   --active_worms_;
   free_worm_slots_.push_back(worm_id);
 
+  if (hooks_.on_drop) {
+    const double now = sched_->now();
+    for (const NodeId d : dropped) hooks_.on_drop(message_id, d, now);  // may inject
+  }
+  if (--messages_[message_id].worms_left != 0) return;
   const double t_created = messages_[message_id].t_created;
-  const bool message_done = (--messages_[message_id].worms_left == 0);
-  if (message_done) {
-    ++messages_completed_;
-    if (hooks_.on_message_done) {
-      hooks_.on_message_done(message_id, sched_->now() - t_created);  // may inject
-    }
+  ++messages_completed_;
+  if (hooks_.on_message_done) {
+    hooks_.on_message_done(message_id, sched_->now() - t_created);  // may inject
   }
 }
 
 void Network::kill_worm(std::uint32_t worm_id) {
   if (!worms_[worm_id].active) return;
+  // A dying worm is inactive at once: the release cascade below fires
+  // hooks that may abort its message or fail a channel it still holds.
+  worms_[worm_id].active = false;
   ++worm_gen_[worm_id];  // invalidate victim snapshots / in-flight loop guards
   // True cancellation: the worm's pending advance/drain_step dies in the
   // kernel (its closure is destroyed, never dispatched) instead of firing
@@ -554,37 +555,13 @@ void Network::kill_worm(std::uint32_t worm_id) {
     release_link(w, i);
   }
 
-  const std::uint64_t message_id = worms_[worm_id].message;
-  blocked_time_total_ += worms_[worm_id].blocked_time;
   ++worms_killed_;
   deliveries_dropped_ += dropped.size();
   if (metrics_.active()) {
     metrics_.worms_killed->inc();
     metrics_.drops->inc(dropped.size());
   }
-  {
-    Worm& w = worms_[worm_id];
-    w.active = false;
-    w.links.clear();
-    w.links.shrink_to_fit();
-    w.deliveries.clear();
-    w.copy_used.clear();
-    w.depth_start.clear();
-  }
-  --active_worms_;
-  free_worm_slots_.push_back(worm_id);
-
-  const double now = sched_->now();
-  if (hooks_.on_drop) {
-    for (const NodeId d : dropped) hooks_.on_drop(message_id, d, now);  // may inject
-  }
-  const double t_created = messages_[message_id].t_created;
-  if (--messages_[message_id].worms_left == 0) {
-    ++messages_completed_;
-    if (hooks_.on_message_done) {
-      hooks_.on_message_done(message_id, sched_->now() - t_created);  // may inject
-    }
-  }
+  retire_worm(worm_id, dropped);
 }
 
 void Network::kill_channel_users(ChannelId c) {

@@ -238,7 +238,11 @@ class Network {
   void arm_drain(std::uint32_t worm_id);
   void drain_step(std::uint32_t worm_id);
   void release_link(Worm& w, std::uint32_t link_index);
-  void finish_worm(std::uint32_t worm_id);
+  /// Retire a worm whose generation is already bumped and whose channels
+  /// are released: free its slot, report its `dropped` destinations, and
+  /// fire on_message_done when it was its message's last worm.  Hooks fire
+  /// only after the slot is free.
+  void retire_worm(std::uint32_t worm_id, const std::vector<NodeId>& dropped);
   /// Kill an active worm: cancel its pending kernel event, cancel its
   /// waits (its ungranted frontier links, the only channels a worm queues
   /// on), release its holds, drop its undelivered destinations, retire

@@ -2,6 +2,7 @@
 // in-order delivery, and the heartbeat failure detector.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -561,7 +562,11 @@ TEST(GroupService, ChurnDeliveryOrderIsPinned) {
   // increase, an oracle that does not read the stream code; the whole
   // (receiver, sender, seq, view) delivery sequence is pinned by count and
   // hash, so a change to how streams are stored cannot reorder, drop or
-  // add a delivery unnoticed.
+  // add a delivery unnoticed.  Every send report (sender, seq, view,
+  // stability time, each destination's outcome) and every installed view
+  // (id, members) are pinned the same way, so a change to how sender
+  // windows, incarnations or detector tracks are stored cannot move a
+  // report, an eviction or an install either.
   Fixture fx(8, 8);
   svc::GroupConfig cfg;
   cfg.window_size = 4;
@@ -610,13 +615,28 @@ TEST(GroupService, ChurnDeliveryOrderIsPinned) {
     }
   });
 
+  std::uint64_t reports = 0;
+  std::uint64_t report_hash = 0xcbf29ce484222325ULL;
+  const svc::GroupService::ReportFn on_report = [&](const svc::GroupSendReport& r) {
+    ++reports;
+    for (const std::uint64_t v : {std::uint64_t{r.sender}, r.seq, r.view,
+                                  std::bit_cast<std::uint64_t>(r.stable_at_s),
+                                  std::uint64_t{r.destinations.size()}}) {
+      report_hash = fnv1a(report_hash, v);
+    }
+    for (const svc::GroupSendReport::Destination& d : r.destinations) {
+      report_hash = fnv1a(report_hash, d.node);
+      report_hash = fnv1a(report_hash, static_cast<std::uint64_t>(d.outcome));
+    }
+  };
+
   // Every 30us a random member sends: to the whole group on even ticks, to
   // a random half of the other members on odd ones.
   evsim::Rng rng(11);
   std::function<void(int)> pump = [&](int tick) {
     const double t = 120e-6 + 30e-6 * tick;
     if (t >= cc.t_end_s) return;
-    fx.sched.schedule_at(t, [&groups, gid, &rng, &pump, tick] {
+    fx.sched.schedule_at(t, [&groups, gid, &rng, &pump, &on_report, tick] {
       const auto& members = groups.view(gid).members;
       const topo::NodeId sender =
           members[rng.uniform_int(0, static_cast<std::uint32_t>(members.size()) - 1)];
@@ -625,9 +645,9 @@ TEST(GroupService, ChurnDeliveryOrderIsPinned) {
         if (m != sender && rng.uniform_int(0, 1) == 1) dests.push_back(m);
       }
       if (tick % 2 == 0 || dests.empty()) {
-        groups.send(gid, sender);
+        groups.send(gid, sender, on_report);
       } else {
-        groups.send_to(gid, sender, dests);
+        groups.send_to(gid, sender, dests, on_report);
       }
       pump(tick + 1);
     });
@@ -640,6 +660,18 @@ TEST(GroupService, ChurnDeliveryOrderIsPinned) {
   EXPECT_EQ(groups.stats().evictions, 1u);  // the crashed member, no false positive
   EXPECT_EQ(deliveries, 749u);
   EXPECT_EQ(hash, 0xae16663996d6d782ULL);
+  EXPECT_EQ(reports, groups.stats().sends);
+  EXPECT_EQ(reports, 63u);
+  EXPECT_EQ(report_hash, 0x5bc9e59e6bb97c8bULL);
+
+  std::uint64_t view_hash = 0xcbf29ce484222325ULL;
+  for (const svc::MembershipView& v : groups.view_history(gid)) {
+    view_hash = fnv1a(view_hash, v.id);
+    view_hash = fnv1a(view_hash, v.members.size());
+    for (const topo::NodeId m : v.members) view_hash = fnv1a(view_hash, m);
+  }
+  EXPECT_EQ(groups.view_history(gid).size(), 11u);
+  EXPECT_EQ(view_hash, 0x83ec2dfd17b5c2cdULL);
 }
 
 TEST(GroupService, JoinInsideDeliveryHookKeepsSurfacing) {
@@ -694,6 +726,74 @@ TEST(GroupService, JoinInsideDeliveryHookKeepsSurfacing) {
   EXPECT_EQ((seen[{3, 0}]), (Seqs{0, 2}));
   EXPECT_EQ((seen[{15, 0}]), (Seqs{2}));  // the joiner floors at 0's next seq
   for (const topo::NodeId m : {0u, 3u, 4u}) EXPECT_EQ((seen[{m, 15}]), (Seqs{0})) << m;
+}
+
+TEST(GroupService, JoinAndSendInsideReportCallback) {
+  // The topology of JoinInsideDeliveryHookKeepsSurfacing: node 0's subset
+  // send to {4} (seq 1) completes before its full-group send to {1, 3, 4}
+  // (seq 0, one worm 0-1-2-3-7-6-5-4), so seq 0's last delivery
+  // stabilises seq 0 and seq 1 in one advance_window pass.  Seq 0's report
+  // joins never-member 15, which appends a fifth member slot and a
+  // pair-table shell in the middle of that pass (five entries outgrow a
+  // vector's capacity of four, so storage that moves its elements would
+  // leave the pass with a dangling sender state), and then sends again
+  // from node 0.  Every report must fire once, in seq order, and every
+  // stream must surface in order.
+  Fixture fx(4, 4);
+  svc::GroupService groups(fx.service);
+  const auto gid = groups.create_group({0, 1, 3, 4});
+
+  std::map<std::pair<topo::NodeId, topo::NodeId>, std::vector<svc::SeqNum>> seen;
+  groups.on_app_delivery([&](svc::GroupId, topo::NodeId recv, topo::NodeId snd,
+                             svc::SeqNum seq, svc::ViewId) {
+    seen[{recv, snd}].push_back(seq);
+  });
+  std::vector<svc::GroupSendReport> reports;
+  const svc::GroupService::ReportFn record = [&](const svc::GroupSendReport& r) {
+    reports.push_back(r);
+  };
+  svc::SeqNum resent = 0;
+  groups.send(gid, 0, [&](const svc::GroupSendReport& r) {
+    record(r);
+    groups.join(gid, 15);
+    resent = groups.send(gid, 0, record);
+  });
+  groups.send_to(gid, 0, {4}, record);
+  fx.sched.schedule_at(3e-3, [&] { groups.stop(); });
+  fx.sched.run();
+
+  using Outcome = svc::GroupOutcome;
+  using Dests = std::vector<std::pair<topo::NodeId, Outcome>>;
+  const auto dests = [](const svc::GroupSendReport& r) {
+    Dests out;
+    for (const auto& d : r.destinations) out.emplace_back(d.node, d.outcome);
+    return out;
+  };
+  EXPECT_EQ(resent, 2u);
+  ASSERT_EQ(reports.size(), 3u);
+  for (svc::SeqNum q = 0; q < 3; ++q) {
+    EXPECT_EQ(reports[q].sender, 0u);
+    EXPECT_EQ(reports[q].seq, q);
+    EXPECT_TRUE(reports[q].stable_in_view) << q;
+  }
+  EXPECT_EQ(reports[0].view, 1u);
+  EXPECT_EQ(reports[1].view, 1u);
+  EXPECT_EQ(reports[2].view, 2u);  // sent after the join
+  EXPECT_EQ(reports[1].stable_at_s, reports[0].stable_at_s);  // one pass
+  EXPECT_GT(reports[2].stable_at_s, reports[0].stable_at_s);
+  const Outcome in_view = Outcome::kDeliveredInView;
+  EXPECT_EQ(dests(reports[0]), (Dests{{1, in_view}, {3, in_view}, {4, in_view}}));
+  EXPECT_EQ(dests(reports[1]), (Dests{{4, in_view}}));
+  EXPECT_EQ(dests(reports[2]),
+            (Dests{{1, in_view}, {3, in_view}, {4, in_view}, {15, in_view}}));
+
+  using Seqs = std::vector<svc::SeqNum>;
+  EXPECT_EQ((seen[{4, 0}]), (Seqs{0, 1, 2}));
+  EXPECT_EQ((seen[{1, 0}]), (Seqs{0, 2}));  // seq 1 is a plugged hole at 1 and 3
+  EXPECT_EQ((seen[{3, 0}]), (Seqs{0, 2}));
+  EXPECT_EQ((seen[{15, 0}]), (Seqs{2}));  // the joiner floors at 0's next seq
+  EXPECT_EQ(groups.in_flight(gid, 0), 0u);
+  EXPECT_EQ(groups.queued(gid, 0), 0u);
 }
 
 TEST(GroupService, ManyGroupsScaleWithFlatStorage) {

@@ -421,6 +421,44 @@ TEST(Network, GrantHookMayKillTheWormItWasGranted) {
   EXPECT_EQ(net.messages_completed(), 2u);
 }
 
+TEST(Network, HookInsideAKillMayNotKillTheDyingWormAgain) {
+  // Killing worm 0 releases channel 0->1 to worm 1, and that grant's hook
+  // aborts worm 0's message again while the kill is still releasing.  The
+  // dying worm must not be killed twice: one drop, one kill, one retired
+  // slot (a second kill released the channel under worm 1 and crashed).
+  const Mesh2D mesh(4, 1);
+  evsim::Scheduler sched;
+  Network net(mesh, {.flit_time = 1.0, .message_flits = 64, .channel_copies = 1}, sched);
+  std::uint64_t victim = 0;
+  bool rearm = false;
+  std::vector<NodeId> dropped;
+  NetworkHooks hooks;
+  hooks.on_channel_grant = [&](topo::ChannelId, std::uint8_t, std::uint32_t, double) {
+    if (rearm) {
+      rearm = false;
+      net.abort_message(victim);
+    }
+  };
+  hooks.on_drop = [&](std::uint64_t, NodeId d, double) { dropped.push_back(d); };
+  net.set_hooks(std::move(hooks));
+  const auto hop = [&](NodeId from, NodeId to, std::uint32_t depth) {
+    return worm::WormLink{mesh.channel(from, to), from, to, depth, worm::kAnyCopy};
+  };
+  victim = net.inject({worm::WormSpec{{hop(0, 1, 1), hop(1, 2, 2)}, {{2, 2}}}});
+  sched.schedule_at(1.0, [&] { net.inject({worm::WormSpec{{hop(0, 1, 1)}, {{1, 1}}}}); });
+  sched.schedule_at(5.0, [&] {
+    rearm = true;
+    net.abort_message(victim);
+  });
+  sched.run();
+  EXPECT_FALSE(rearm);  // the hook ran inside the kill
+  EXPECT_EQ(dropped, (std::vector<NodeId>{2}));
+  EXPECT_EQ(net.worms_killed(), 1u);
+  EXPECT_TRUE(net.idle());
+  EXPECT_EQ(net.pool().busy_count(), 0u);
+  EXPECT_EQ(net.messages_completed(), 2u);
+}
+
 // --- Malformed worm specs ----------------------------------------------------
 
 // A well-formed three-hop path worm 0 -> 1 -> 2 -> 3 on a 4x1 mesh,

@@ -1,8 +1,15 @@
 #!/usr/bin/env python3
 """Paired full-stack benchmark runs: a parent checkout against a change.
 
-    python3 tools/perfbench_pair.py PARENT_DIR CHANGE_DIR \\
+    python3 tools/perfbench_pair.py PARENT CHANGE_DIR \\
         [--workload W] [--pairs N] [--seed-base S] [--seconds T]
+
+PARENT is a checkout directory or a git revision of the repository this
+tool belongs to (HEAD~1, a branch, a commit id).  A revision is checked out
+with `git worktree add` into a temporary directory, which is removed again
+when the tool exits.  So the parent of the working tree is one command:
+
+    python3 tools/perfbench_pair.py HEAD~1 . --pairs 20 --seed-base 1 --seconds 2
 
 Each pair runs perfbench/run.py once in each checkout with the same seed
 (seed S + pair index), alternating which side goes first.  Workloads,
@@ -33,11 +40,14 @@ hash) differ for a seed.  Verdicts do not affect it.
 """
 
 import argparse
+import contextlib
 import json
 import pathlib
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -57,6 +67,29 @@ def run(checkout, workload, seed, seconds):
     except json.JSONDecodeError:
         sys.stderr.write(out.stdout[-2000:])
         return None, fingerprint
+
+
+@contextlib.contextmanager
+def parent_checkout(parent, parser):
+    """PARENT as a directory: itself, or a temporary worktree of a revision."""
+    if pathlib.Path(parent).is_dir():
+        yield pathlib.Path(parent).resolve()
+        return
+    git = ["git", "-C", str(ROOT)]
+    rev = subprocess.run(git + ["rev-parse", "--verify", "--quiet", parent + "^{commit}"],
+                         capture_output=True, text=True)
+    if rev.returncode != 0:
+        parser.error(f"parent {parent!r} is neither a directory nor a git revision of {ROOT}")
+    tmp = pathlib.Path(tempfile.mkdtemp(prefix="perfbench_pair_"))
+    tree = tmp / "parent"
+    try:
+        subprocess.run(git + ["worktree", "add", "--detach", "--quiet", str(tree),
+                              rev.stdout.strip()], check=True)
+        yield tree
+    finally:
+        subprocess.run(git + ["worktree", "remove", "--force", str(tree)], capture_output=True)
+        shutil.rmtree(tmp, ignore_errors=True)
+        subprocess.run(git + ["worktree", "prune"], capture_output=True)
 
 
 def quartiles(values):
@@ -94,7 +127,7 @@ def verdict(metric, parent, change):
 def main():
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent_dir", type=pathlib.Path)
+    parser.add_argument("parent", help="parent checkout directory or git revision")
     parser.add_argument("change_dir", type=pathlib.Path)
     parser.add_argument("--workload", action="append",
                         choices=[w["name"] for w in spec["workloads"]],
@@ -105,8 +138,12 @@ def main():
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
+    with parent_checkout(args.parent, parser) as parent_dir:
+        return compare(spec, args, parser, parent_dir)
 
-    sides = {"parent": args.parent_dir.resolve(), "change": args.change_dir.resolve()}
+
+def compare(spec, args, parser, parent_dir):
+    sides = {"parent": parent_dir, "change": args.change_dir.resolve()}
     for name, checkout in sides.items():
         if not (checkout / "perfbench" / "run.py").is_file():
             parser.error(f"{name} checkout {checkout} has no perfbench/run.py")
