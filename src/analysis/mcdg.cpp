@@ -1,8 +1,11 @@
 #include "analysis/mcdg.hpp"
 
 #include <algorithm>
+#include <array>
+#include <span>
 #include <sstream>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "analysis/instances.hpp"
 
@@ -19,23 +22,6 @@ using mcast::TreeRoute;
 using topo::ChannelId;
 using topo::NodeId;
 
-// Small dynamic bitset over tree-link indices.
-class LinkSet {
- public:
-  LinkSet() = default;
-  explicit LinkSet(std::size_t bits) : words_((bits + 63) / 64, 0) {}
-  void set(std::size_t i) { words_[i / 64] |= std::uint64_t{1} << (i % 64); }
-  [[nodiscard]] bool test(std::size_t i) const {
-    return (words_[i / 64] >> (i % 64)) & 1u;
-  }
-  void merge(const LinkSet& other) {
-    for (std::size_t w = 0; w < words_.size(); ++w) words_[w] |= other.words_[w];
-  }
-
- private:
-  std::vector<std::uint64_t> words_;
-};
-
 std::uint8_t copy_for(const Scenario& s, std::uint8_t cls, NodeId from, NodeId to) {
   return s.copy_of ? s.copy_of(cls, from, to) : 0;
 }
@@ -48,37 +34,72 @@ ChannelId vc_of_hop(const Scenario& s, std::uint8_t cls, NodeId from, NodeId to)
   return virtual_channel_id(c, copy_for(s, cls, from, to), s.channel_copies);
 }
 
-// Virtual channel of every tree link.
-std::vector<ChannelId> tree_link_vcs(const Scenario& s, const TreeRoute& tree) {
-  std::vector<ChannelId> vcs;
-  vcs.reserve(tree.links.size());
+// Virtual channel of every tree link, into `vcs`.
+void tree_link_vcs(const Scenario& s, const TreeRoute& tree, std::vector<ChannelId>& vcs) {
+  vcs.clear();
   for (const TreeRoute::Link& l : tree.links) {
     vcs.push_back(vc_of_hop(s, tree.channel_class, l.from, l.to));
   }
-  return vcs;
 }
 
-// Acquisition-requirement closure of every link of a lock-step tree worm:
-// requesting link i requires its parent and every earlier sibling of the
-// same fork to be acquired already (branches are created -- and their first
-// channels requested -- in algorithm order), transitively.  Links are
-// stored in creation order, so parents and earlier siblings always have
-// smaller indices.
-std::vector<LinkSet> link_closures(const TreeRoute& tree) {
-  const std::size_t n = tree.links.size();
-  std::vector<LinkSet> closure(n, LinkSet(n));
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::int32_t parent = tree.links[i].parent;
-    if (parent >= 0) {
-      closure[i].merge(closure[static_cast<std::size_t>(parent)]);
-      closure[i].set(static_cast<std::size_t>(parent));
-    }
-    for (std::size_t j = 0; j < i; ++j) {
-      if (tree.links[j].parent == parent) closure[i].set(j);
+constexpr std::size_t words_for(std::size_t bits) { return (bits + 63) / 64; }
+
+// Small dynamic bitset over tree-link indices.
+class LinkSet {
+ public:
+  explicit LinkSet(std::size_t bits) : words_(words_for(bits), 0) {}
+  void set(std::size_t i) { words_[i / 64] |= std::uint64_t{1} << (i % 64); }
+  [[nodiscard]] bool test(std::size_t i) const {
+    return (words_[i / 64] >> (i % 64)) & 1u;
+  }
+  void merge(std::span<const std::uint64_t> row) {
+    for (std::size_t w = 0; w < words_.size(); ++w) words_[w] |= row[w];
+  }
+
+ private:
+  std::vector<std::uint64_t> words_;
+};
+
+// Acquisition-requirement closure of every link of a lock-step tree worm,
+// as a flat bit matrix: row i marks the links that requesting link i
+// requires to be acquired already -- its parent and every earlier sibling
+// of the same fork (branches are created, and their first channels
+// requested, in algorithm order), transitively.  Links are stored in
+// creation order, so parents and earlier siblings always have smaller
+// indices.
+class LinkClosures {
+ public:
+  void build(const TreeRoute& tree) {
+    const std::size_t n = tree.links.size();
+    words_ = words_for(n);
+    bits_.assign(n * words_, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::int32_t parent = tree.links[i].parent;
+      if (parent >= 0) {
+        const auto p = static_cast<std::size_t>(parent);
+        for (std::size_t w = 0; w < words_; ++w) bits_[i * words_ + w] |= bits_[p * words_ + w];
+        set(i, p);
+      }
+      for (std::size_t j = 0; j < i; ++j) {
+        if (tree.links[j].parent == parent) set(i, j);
+      }
     }
   }
-  return closure;
-}
+  [[nodiscard]] bool test(std::size_t i, std::size_t link) const {
+    return (bits_[i * words_ + link / 64] >> (link % 64)) & 1u;
+  }
+  [[nodiscard]] std::span<const std::uint64_t> row(std::size_t i) const {
+    return {bits_.data() + i * words_, words_};
+  }
+
+ private:
+  void set(std::size_t i, std::size_t link) {
+    bits_[i * words_ + link / 64] |= std::uint64_t{1} << (link % 64);
+  }
+
+  std::size_t words_ = 0;
+  std::vector<std::uint64_t> bits_;
+};
 
 void add_path_dependencies(const Scenario& s, const PathRoute& path, ChannelGraph& g,
                            EdgeTag tag) {
@@ -92,7 +113,9 @@ void add_path_dependencies(const Scenario& s, const PathRoute& path, ChannelGrap
 
 void add_tree_dependencies(const Scenario& s, const TreeRoute& tree, ChannelGraph& g,
                            EdgeTag tag) {
-  const std::vector<ChannelId> vcs = tree_link_vcs(s, tree);
+  thread_local std::vector<ChannelId> vcs;
+  thread_local LinkClosures closure;
+  tree_link_vcs(s, tree, vcs);
   if (s.tree_semantics == TreeSemantics::kIndependentBranches) {
     for (std::size_t i = 0; i < tree.links.size(); ++i) {
       const std::int32_t parent = tree.links[i].parent;
@@ -105,10 +128,10 @@ void add_tree_dependencies(const Scenario& s, const TreeRoute& tree, ChannelGrap
   // Lock-step: a blocked branch stalls the whole worm, so any held channel
   // h can wait on any channel r whose acquisition does not require h --
   // i.e. every ordered pair (h, r) with r outside h's requirement closure.
-  const std::vector<LinkSet> closure = link_closures(tree);
+  closure.build(tree);
   for (std::size_t h = 0; h < tree.links.size(); ++h) {
     for (std::size_t r = 0; r < tree.links.size(); ++r) {
-      if (h == r || vcs[h] == vcs[r] || closure[h].test(r)) continue;
+      if (h == r || vcs[h] == vcs[r] || closure.test(h, r)) continue;
       g.add_dependency(vcs[h], vcs[r], tag);
     }
   }
@@ -117,17 +140,16 @@ void add_tree_dependencies(const Scenario& s, const TreeRoute& tree, ChannelGrap
 // --- multi-instance cycle search -------------------------------------------
 
 struct FoundCycle {
-  std::vector<ChannelId> vcs;                   // cycle nodes in order
-  std::vector<std::vector<EdgeTag>> edge_tags;  // tags of edge i: vcs[i] -> vcs[i+1]
+  std::vector<ChannelId> vcs;                        // cycle nodes in order
+  std::vector<std::span<const EdgeTag>> edge_tags;  // tags of edge i: vcs[i] -> vcs[i+1]
 };
 
-std::vector<std::vector<EdgeTag>> collect_edge_tags(const ChannelGraph& g,
-                                                    const std::vector<ChannelId>& cycle) {
-  std::vector<std::vector<EdgeTag>> tags;
+std::vector<std::span<const EdgeTag>> collect_edge_tags(const ChannelGraph& g,
+                                                        const std::vector<ChannelId>& cycle) {
+  std::vector<std::span<const EdgeTag>> tags;
   tags.reserve(cycle.size());
   for (std::size_t i = 0; i < cycle.size(); ++i) {
-    const auto span = g.edge_tags(cycle[i], cycle[(i + 1) % cycle.size()]);
-    tags.emplace_back(span.begin(), span.end());
+    tags.push_back(g.edge_tags(cycle[i], cycle[(i + 1) % cycle.size()]));
   }
   return tags;
 }
@@ -137,7 +159,7 @@ std::vector<std::vector<EdgeTag>> collect_edge_tags(const ChannelGraph& g,
 // itself, and two concurrent copies of the *same* instance cannot either
 // (their acquisition closures both contain the first channel out of the
 // shared source, so their hold sets can never coexist).
-bool multi_instance(const std::vector<std::vector<EdgeTag>>& edge_tags) {
+bool multi_instance(const std::vector<std::span<const EdgeTag>>& edge_tags) {
   EdgeTag first = cdg::kNoEdgeTag;
   for (const auto& tags : edge_tags) {
     if (tags.empty()) return false;  // unattributable edge
@@ -153,15 +175,18 @@ bool multi_instance(const std::vector<std::vector<EdgeTag>>& edge_tags) {
 }
 
 std::optional<FoundCycle> search_multi_instance_cycle(const ChannelGraph& g) {
-  std::vector<EdgeTag> exhausted;
-  for (int rounds = 0; rounds < 256; ++rounds) {
-    const auto usable = [&](ChannelId from, ChannelId to) {
-      if (exhausted.empty()) return true;
-      const auto tags = g.edge_tags(from, to);
-      return std::any_of(tags.begin(), tags.end(), [&](EdgeTag t) {
-        return std::find(exhausted.begin(), exhausted.end(), t) == exhausted.end();
-      });
-    };
+  // Every round that meets a single-instance cycle retires that cycle's one
+  // tag.  Each of its edges kept a live tag, so the tag is new, and the
+  // search ends after at most (distinct tags + 1) rounds.
+  std::vector<EdgeTag> exhausted;  // sorted
+  const auto usable = [&](ChannelId from, ChannelId to) {
+    if (exhausted.empty()) return true;
+    const auto tags = g.edge_tags(from, to);
+    return std::any_of(tags.begin(), tags.end(), [&](EdgeTag t) {
+      return !std::binary_search(exhausted.begin(), exhausted.end(), t);
+    });
+  };
+  for (;;) {
     const auto cycle = g.find_cycle_if(usable);
     if (!cycle) return std::nullopt;
     FoundCycle found{*cycle, collect_edge_tags(g, *cycle)};
@@ -173,9 +198,8 @@ std::optional<FoundCycle> search_multi_instance_cycle(const ChannelGraph& g) {
       if (!tags.empty()) sole = tags.front();
     }
     if (sole == cdg::kNoEdgeTag) return std::nullopt;
-    exhausted.push_back(sole);
+    exhausted.insert(std::upper_bound(exhausted.begin(), exhausted.end(), sole), sole);
   }
-  return std::nullopt;
 }
 
 // Assign one instance to each cycle edge, preferring to alternate with the
@@ -216,9 +240,8 @@ std::vector<EdgeTag> assign_edges(const FoundCycle& cycle) {
 // Per-instance link table of a route's trees: vc -> (tree, link) lookup
 // plus requirement closures, for reconstructing concrete hold states.
 struct InstanceLinks {
-  MulticastRoute route;
-  std::vector<std::vector<ChannelId>> vcs;     // per tree
-  std::vector<std::vector<LinkSet>> closures;  // per tree
+  std::vector<std::vector<ChannelId>> vcs;  // per tree
+  std::vector<LinkClosures> closures;       // per tree
 
   [[nodiscard]] std::optional<std::pair<std::size_t, std::size_t>> find(ChannelId vc) const {
     for (std::size_t t = 0; t < vcs.size(); ++t) {
@@ -230,24 +253,49 @@ struct InstanceLinks {
   }
 };
 
-InstanceLinks build_instance_links(const Scenario& s, const MulticastRequest& request) {
-  InstanceLinks il;
-  il.route = s.route(request);
-  for (const TreeRoute& tree : il.route.trees) {
-    il.vcs.push_back(tree_link_vcs(s, tree));
-    il.closures.push_back(link_closures(tree));
+// The links of each instance a deadlock search tries, routed on first use
+// and kept for the rest of the search.
+class InstanceLinksCache {
+ public:
+  InstanceLinksCache(const Scenario& s, const std::vector<MulticastRequest>& instances)
+      : s_(&s), instances_(&instances) {}
+
+  /// Null when the instance cannot be routed.
+  const InstanceLinks* get(std::uint32_t instance) {
+    const auto [it, inserted] = links_.try_emplace(instance);
+    std::optional<InstanceLinks>& links = it->second;
+    if (inserted) links = route_links((*instances_)[instance]);
+    return links.has_value() ? &*links : nullptr;
   }
-  return il;
-}
+
+ private:
+  [[nodiscard]] std::optional<InstanceLinks> route_links(
+      const MulticastRequest& request) const {
+    InstanceLinks il;
+    try {
+      const MulticastRoute route = s_->route(request);
+      for (const TreeRoute& tree : route.trees) {
+        tree_link_vcs(*s_, tree, il.vcs.emplace_back());
+        il.closures.emplace_back().build(tree);
+      }
+    } catch (const std::exception&) {
+      return std::nullopt;
+    }
+    return il;
+  }
+
+  const Scenario* s_;
+  const std::vector<MulticastRequest>* instances_;
+  std::unordered_map<std::uint32_t, std::optional<InstanceLinks>> links_;
+};
 
 // Check that the assigned cycle is a realizable circular wait: each
 // participating instance admits a hold state (closed under its acquisition
 // requirements) containing its held cycle channels and the prerequisites of
 // its requested ones but not the requests themselves, and the hold states
 // of distinct instances are channel-disjoint.
-bool check_realizable(const Scenario& s, const std::vector<MulticastRequest>& instances,
-                      const std::vector<ChannelId>& cycle,
-                      const std::vector<std::uint32_t>& edge_instance) {
+bool check_realizable(InstanceLinksCache& links, std::span<const ChannelId> cycle,
+                      std::span<const std::uint32_t> edge_instance) {
   const std::size_t k = cycle.size();
   // Contract runs of consecutive edges with the same instance into
   // message-level (held, requested) pairs.
@@ -278,21 +326,17 @@ bool check_realizable(const Scenario& s, const std::vector<MulticastRequest>& in
   std::vector<std::vector<ChannelId>> hold_sets;
   for (const Claim& claim : claims) {
     if (claim.requested.empty()) return false;  // holds but never waits: not a cycle
-    InstanceLinks il;
-    try {
-      il = build_instance_links(s, instances[claim.instance]);
-    } catch (const std::exception&) {
-      return false;
-    }
+    const InstanceLinks* il = links.get(claim.instance);
+    if (il == nullptr) return false;
     // Held links: the channel itself plus everything its acquisition needed.
     std::vector<LinkSet> held_per_tree;
-    held_per_tree.reserve(il.vcs.size());
-    for (const auto& tree_vcs : il.vcs) held_per_tree.emplace_back(tree_vcs.size());
+    held_per_tree.reserve(il->vcs.size());
+    for (const auto& tree_vcs : il->vcs) held_per_tree.emplace_back(tree_vcs.size());
     const auto absorb = [&](ChannelId vc, bool include_self) -> bool {
-      const auto where = il.find(vc);
+      const auto where = il->find(vc);
       if (!where) return false;
       const auto [t, l] = *where;
-      held_per_tree[t].merge(il.closures[t][l]);
+      held_per_tree[t].merge(il->closures[t].row(l));
       if (include_self) held_per_tree[t].set(l);
       return true;
     };
@@ -304,13 +348,13 @@ bool check_realizable(const Scenario& s, const std::vector<MulticastRequest>& in
     }
     // A requested channel must not already be forced into the hold state.
     for (const ChannelId vc : claim.requested) {
-      const auto where = il.find(vc);
+      const auto where = il->find(vc);
       if (!where || held_per_tree[where->first].test(where->second)) return false;
     }
     std::vector<ChannelId> holds;
-    for (std::size_t t = 0; t < il.vcs.size(); ++t) {
-      for (std::size_t l = 0; l < il.vcs[t].size(); ++l) {
-        if (held_per_tree[t].test(l)) holds.push_back(il.vcs[t][l]);
+    for (std::size_t t = 0; t < il->vcs.size(); ++t) {
+      for (std::size_t l = 0; l < il->vcs[t].size(); ++l) {
+        if (held_per_tree[t].test(l)) holds.push_back(il->vcs[t][l]);
       }
     }
     std::sort(holds.begin(), holds.end());
@@ -346,6 +390,7 @@ std::optional<DeadlockCandidate> find_deadlock(const Scenario& s,
                                                const std::vector<MulticastRequest>& instances,
                                                const ChannelGraph& g,
                                                bool require_realizable) {
+  InstanceLinksCache links(s, instances);
   for (ChannelId c = 0; c < g.num_channels(); ++c) {
     for (const ChannelId d : g.successors(c)) {
       if (d <= c) continue;
@@ -355,10 +400,10 @@ std::optional<DeadlockCandidate> find_deadlock(const Scenario& s,
       for (const EdgeTag ta : fwd) {
         for (const EdgeTag tb : back) {
           if (ta == tb) continue;
-          const std::vector<ChannelId> cycle{c, d};
-          const std::vector<std::uint32_t> assignment{ta, tb};
-          if (check_realizable(s, instances, cycle, assignment)) {
-            return DeadlockCandidate{cycle, {ta, tb}, true};
+          const std::array<ChannelId, 2> cycle{c, d};
+          const std::array<std::uint32_t, 2> assignment{ta, tb};
+          if (check_realizable(links, cycle, assignment)) {
+            return DeadlockCandidate{{c, d}, {ta, tb}, true};
           }
         }
       }
@@ -369,7 +414,7 @@ std::optional<DeadlockCandidate> find_deadlock(const Scenario& s,
   DeadlockCandidate cand;
   cand.vcs = found->vcs;
   cand.assignment = assign_edges(*found);
-  cand.realizable = check_realizable(s, instances, cand.vcs, cand.assignment);
+  cand.realizable = check_realizable(links, cand.vcs, cand.assignment);
   if (require_realizable && !cand.realizable) return std::nullopt;
   return cand;
 }

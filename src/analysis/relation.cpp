@@ -1,10 +1,8 @@
 #include "analysis/relation.hpp"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <span>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "analysis/instances.hpp"
@@ -26,36 +24,136 @@ using topo::NodeId;
 
 // --- worm-state exploration ------------------------------------------------
 
-// Identity of a worm spec, for deduplicating exploration across instances.
-using WormKey = std::vector<std::uint32_t>;
+// A set of worm keys (word strings identifying a worm spec) in flat
+// storage: every key's words live in one arena, and an open-addressing
+// table maps them to dense ids in insertion order.  Inserting allocates
+// only when the arena or the table grows.
+class WormKeyTable {
+ public:
+  /// Id of `key`, and whether this call inserted it.
+  std::pair<std::uint32_t, bool> insert(std::span<const std::uint32_t> key) {
+    if (2 * (offset_.size() + 1) > slots_.size()) grow();
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = hash(key) & mask;; i = (i + 1) & mask) {
+      if (slots_[i] == 0) {
+        const auto id = static_cast<std::uint32_t>(offset_.size());
+        slots_[i] = id + 1;
+        offset_.push_back(static_cast<std::uint32_t>(words_.size()));
+        words_.push_back(static_cast<std::uint32_t>(key.size()));
+        words_.insert(words_.end(), key.begin(), key.end());
+        return {id, true};
+      }
+      const std::uint32_t id = slots_[i] - 1;
+      if (std::ranges::equal(stored(id), key)) return {id, false};
+    }
+  }
 
-WormKey key_of(const WormSpec& spec) {
-  WormKey key;
-  key.reserve(4 + spec.targets.size());
-  key.push_back(spec.channel_class);
-  key.push_back(spec.source);
-  key.push_back(spec.first_hop ? *spec.first_hop + 1 : 0);
-  key.push_back(spec.first_hop_copy);
-  key.insert(key.end(), spec.targets.begin(), spec.targets.end());
-  return key;
-}
+ private:
+  static std::size_t hash(std::span<const std::uint32_t> key) {
+    std::uint64_t h = 0xcbf29ce484222325ull ^ key.size();
+    for (const std::uint32_t w : key) h = (h ^ w) * 0x100000001b3ull;
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdull;
+    return static_cast<std::size_t>(h ^ (h >> 33));
+  }
+  [[nodiscard]] std::span<const std::uint32_t> stored(std::uint32_t id) const {
+    return {words_.data() + offset_[id] + 1, words_[offset_[id]]};
+  }
+  void grow() {
+    slots_.assign(std::max<std::size_t>(16, 2 * slots_.size()), 0);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::uint32_t id = 0; id < offset_.size(); ++id) {
+      std::size_t i = hash(stored(id)) & mask;
+      while (slots_[i] != 0) i = (i + 1) & mask;
+      slots_[i] = id + 1;
+    }
+  }
 
-// The reachable header-state graph of one worm: states are (remaining
-// target index, current node) pairs, transitions are the relation's
-// candidate hops labeled with the virtual channel they acquire.
+  std::vector<std::uint32_t> words_;   // per key: its length, then its words
+  std::vector<std::uint32_t> offset_;  // per id: where its key starts in words_
+  std::vector<std::uint32_t> slots_;   // id + 1, or 0 for an empty slot
+};
+
+// One header state of a worm: the index of the next target to reach and
+// the node the header is at.
+struct WormState {
+  NodeId node = topo::kInvalidNode;
+  std::uint32_t target_index = 0;
+};
+
+// One candidate hop out of a state: the successor state and the virtual
+// channel the hop acquires.
+struct Transition {
+  std::uint32_t succ = 0;
+  ChannelId vc = 0;
+};
+
+// (vc held, vc requested next).
+using Dependency = std::pair<ChannelId, ChannelId>;
+
+// The reachable header-state graph of one worm, as spans into a WormGraph.
+// State ids are local to the worm; the initial state is state 0.
+struct WormView {
+  std::span<const WormState> states;
+  std::span<const std::uint32_t> first;  // per state, then one past the last
+  std::span<const Transition> transitions;
+  std::span<const Dependency> edges;     // deduplicated CDG edges, sorted
+  std::uint32_t num_targets = 0;
+  std::uint32_t stuck = 0;
+
+  [[nodiscard]] bool terminal(std::uint32_t s) const {
+    return states[s].target_index >= num_targets;
+  }
+  [[nodiscard]] std::span<const Transition> next(std::uint32_t s) const {
+    return transitions.subspan(first[s], first[s + 1] - first[s]);
+  }
+};
+
+// Explored worms in flat arrays: each worm appends a run of states, a run
+// of per-state offsets into its run of transitions, and a run of the CDG
+// edges it induces.  Memoized worms accumulate in one WormGraph; a
+// transient worm is explored into a cleared one, reusing its capacity.
 struct WormGraph {
-  struct State {
-    NodeId node = topo::kInvalidNode;
-    std::uint32_t target_index = 0;
+  // Where one worm's runs start in the arrays.
+  struct Worm {
+    std::uint32_t state = 0;
+    std::uint32_t first = 0;
+    std::uint32_t transition = 0;
+    std::uint32_t edge = 0;
+    std::uint32_t num_targets = 0;
+    std::uint32_t stuck = 0;
   };
-  std::vector<State> states;
-  std::vector<bool> terminal;
-  // Per state: (successor state, virtual channel acquired).
-  std::vector<std::vector<std::pair<std::uint32_t, ChannelId>>> next;
-  // Deduplicated CDG edges the worm induces: (vc held, vc requested next).
-  std::vector<std::pair<ChannelId, ChannelId>> edges;
-  std::size_t stuck = 0;
-  std::uint32_t initial = 0;
+  std::vector<WormState> states;
+  std::vector<std::uint32_t> first;
+  std::vector<Transition> transitions;
+  std::vector<Dependency> edges;
+  std::vector<Worm> worms;
+
+  void clear() {
+    states.clear();
+    first.clear();
+    transitions.clear();
+    edges.clear();
+    worms.clear();
+  }
+
+  // Where a worm appended next would start.
+  [[nodiscard]] Worm tail() const {
+    return {static_cast<std::uint32_t>(states.size()), static_cast<std::uint32_t>(first.size()),
+            static_cast<std::uint32_t>(transitions.size()),
+            static_cast<std::uint32_t>(edges.size())};
+  }
+
+  [[nodiscard]] WormView view(std::uint32_t w) const {
+    const Worm& a = worms[w];
+    const Worm end = w + 1 == worms.size() ? tail() : worms[w + 1];
+    return {{states.data() + a.state, end.state - a.state},
+            {first.data() + a.first, end.first - a.first},
+            {transitions.data() + a.transition, end.transition - a.transition},
+            {edges.data() + a.edge, end.edge - a.edge},
+            a.num_targets,
+            a.stuck};
+  }
 };
 
 class RelationEngine {
@@ -73,16 +171,15 @@ class RelationEngine {
   ChannelGraph build_cdg(const std::vector<MulticastRequest>& instances,
                          RelationReport* report) {
     ChannelGraph graph(num_vcs_);
-    std::set<WormKey> seen;
+    WormKeyTable seen;
     for (std::size_t i = 0; i < instances.size(); ++i) {
       const EdgeTag tag = static_cast<EdgeTag>(i);
       for (const WormSpec& spec : rel_->prepare(instances[i])) {
         if (spec.targets.empty()) continue;
-        WormKey key = key_of(spec);
-        WormGraph local;
-        const WormGraph& worm = lookup(spec, key, local);
+        const std::span<const std::uint32_t> key = key_of(spec);
+        const WormView worm = lookup(spec, key);
         for (const auto& [from, to] : worm.edges) graph.add_dependency(from, to, tag);
-        if (report != nullptr && seen.insert(std::move(key)).second) {
+        if (report != nullptr && seen.insert(key).second) {
           report->worm_states += worm.states.size();
           report->stuck_states += worm.stuck;
           if (rel_->escape) check_escape(spec, worm, report->escape);
@@ -107,36 +204,32 @@ class RelationEngine {
   void close_extended_graph(const std::vector<MulticastRequest>& instances,
                             EscapeReport& escape) {
     ChannelGraph ext(num_vcs_);
-    std::set<WormKey> done;
-    std::vector<std::uint32_t> mark;
-    std::vector<std::uint32_t> stack;
-    std::uint32_t epoch = 0;
+    WormKeyTable done;
     for (const MulticastRequest& instance : instances) {
       for (const WormSpec& spec : rel_->prepare(instance)) {
         if (spec.targets.empty()) continue;
-        WormKey key = key_of(spec);
-        if (!done.insert(std::move(key)).second) continue;
-        WormGraph local;
-        const WormGraph& worm = lookup(spec, key_of(spec), local);
-        mark.assign(worm.states.size(), 0);
-        epoch = 0;
+        const std::span<const std::uint32_t> key = key_of(spec);
+        if (!done.insert(key).second) continue;
+        const WormView worm = lookup(spec, key);
+        mark_.assign(worm.states.size(), 0);
+        std::uint32_t epoch = 0;
         for (std::uint32_t s = 0; s < worm.states.size(); ++s) {
-          for (const auto& [entry, vc] : worm.next[s]) {
+          for (const auto& [entry, vc] : worm.next(s)) {
             if (!in_escape_set(vc)) continue;
             ++epoch;
-            stack.assign(1, entry);
-            mark[entry] = epoch;
-            while (!stack.empty()) {
-              const std::uint32_t v = stack.back();
-              stack.pop_back();
-              for (const auto& [succ, vc2] : worm.next[v]) {
+            stack_.assign(1, entry);
+            mark_[entry] = epoch;
+            while (!stack_.empty()) {
+              const std::uint32_t v = stack_.back();
+              stack_.pop_back();
+              for (const auto& [succ, vc2] : worm.next(v)) {
                 if (in_escape_set(vc2)) {
                   // Self-dependencies are impossible for capacity-sound
                   // relations (a worm never re-requests a held channel).
                   if (vc2 != vc) ext.add_dependency(vc, vc2);
-                } else if (mark[succ] != epoch) {
-                  mark[succ] = epoch;
-                  stack.push_back(succ);
+                } else if (mark_[succ] != epoch) {
+                  mark_[succ] = epoch;
+                  stack_.push_back(succ);
                 }
               }
             }
@@ -149,17 +242,27 @@ class RelationEngine {
   }
 
  private:
+  // Identity of a worm spec, for deduplicating exploration across
+  // instances; valid until the next call.
+  std::span<const std::uint32_t> key_of(const WormSpec& spec) {
+    key_.assign({spec.channel_class, spec.source, spec.first_hop ? *spec.first_hop + 1 : 0,
+                 spec.first_hop_copy});
+    key_.insert(key_.end(), spec.targets.begin(), spec.targets.end());
+    return key_;
+  }
+
   // Memoize single-target worms (unicast fan-out relations re-prepare them
   // for thousands of instances); multi-target worms are nearly unique per
   // instance, so exploring them transiently avoids an unbounded cache.
-  const WormGraph& lookup(const WormSpec& spec, WormKey key, WormGraph& local) {
+  // The view is valid until the next lookup.
+  WormView lookup(const WormSpec& spec, std::span<const std::uint32_t> key) {
     if (spec.targets.size() != 1) {
-      local = explore(spec);
-      return local;
+      scratch_.clear();
+      return scratch_.view(explore(spec, scratch_));
     }
-    const auto it = memo_.find(key);
-    if (it != memo_.end()) return it->second;
-    return memo_.emplace(std::move(key), explore(spec)).first->second;
+    const auto [id, inserted] = memo_keys_.insert(key);
+    if (inserted) explore(spec, memo_);
+    return memo_.view(id);
   }
 
   [[nodiscard]] ChannelId vc_of(NodeId from, NodeId to, std::uint8_t copy) const {
@@ -171,67 +274,74 @@ class RelationEngine {
     return virtual_channel_id(c, copy, rel_->channel_copies);
   }
 
-  [[nodiscard]] WormGraph explore(const WormSpec& spec) const {
-    WormGraph g;
-    const std::uint32_t num_targets = static_cast<std::uint32_t>(spec.targets.size());
+  // Explore the reachable header states of `spec` breadth-first and append
+  // the worm to `g`; returns its index there.  States are (remaining target
+  // index, current node) pairs, transitions the relation's candidate hops.
+  std::uint32_t explore(const WormSpec& spec, WormGraph& g) {
+    const auto num_targets = static_cast<std::uint32_t>(spec.targets.size());
+    WormGraph::Worm worm = g.tail();
+    worm.num_targets = num_targets;
     const auto normalize = [&](std::uint32_t idx, NodeId node) {
       while (idx < num_targets && node == spec.targets[idx]) ++idx;
       return idx;
     };
-    std::unordered_map<std::uint64_t, std::uint32_t> ids;
+    // State ids come from a dense (target index, node) table whose cells are
+    // stamped per exploration, so it is never cleared.
+    const std::size_t cells = (std::size_t{num_targets} + 1) * n_;
+    if (state_ids_.size() < cells) state_ids_.resize(cells);
+    if (++stamp_ == 0) {
+      for (StateCell& cell : state_ids_) cell.stamp = 0;
+      stamp_ = 1;
+    }
     const auto state_id = [&](std::uint32_t idx, NodeId node) {
-      const std::uint64_t packed = static_cast<std::uint64_t>(idx) * n_ + node;
-      const auto [it, inserted] = ids.emplace(packed, static_cast<std::uint32_t>(g.states.size()));
-      if (inserted) {
+      StateCell& cell = state_ids_[std::size_t{idx} * n_ + node];
+      if (cell.stamp != stamp_) {
+        cell = {stamp_, static_cast<std::uint32_t>(g.states.size() - worm.state)};
         g.states.push_back({node, idx});
-        g.terminal.push_back(idx >= num_targets);
-        g.next.emplace_back();
       }
-      return it->second;
+      return cell.id;
     };
-    g.initial = state_id(normalize(0, spec.source), spec.source);
+    state_id(normalize(0, spec.source), spec.source);
 
-    std::vector<RelationHop> hops;
-    for (std::uint32_t s = 0; s < g.states.size(); ++s) {
-      if (g.terminal[s]) continue;
-      const NodeId node = g.states[s].node;
-      const std::uint32_t idx = g.states[s].target_index;
-      if (s == g.initial && spec.first_hop.has_value()) {
+    for (std::uint32_t s = 0; worm.state + s < g.states.size(); ++s) {
+      g.first.push_back(static_cast<std::uint32_t>(g.transitions.size() - worm.transition));
+      const WormState state = g.states[worm.state + s];
+      if (state.target_index >= num_targets) continue;
+      if (s == 0 && spec.first_hop.has_value()) {
         // Injection honours the forced first hop, bypassing the relation.
-        hops.assign(1, {*spec.first_hop, spec.first_hop_copy});
+        hops_.assign(1, {*spec.first_hop, spec.first_hop_copy});
       } else {
-        rel_->candidates(spec.channel_class, node, spec.targets[idx], hops);
+        rel_->candidates(spec.channel_class, state.node, spec.targets[state.target_index],
+                         hops_);
       }
-      if (hops.empty()) {
-        ++g.stuck;
+      if (hops_.empty()) {
+        ++worm.stuck;
         continue;
       }
-      for (const RelationHop& hop : hops) {
-        const ChannelId vc = vc_of(node, hop.to, hop.copy);
-        const std::uint32_t succ = state_id(normalize(idx, hop.to), hop.to);
-        g.next[s].push_back({succ, vc});
+      for (const RelationHop& hop : hops_) {
+        const ChannelId vc = vc_of(state.node, hop.to, hop.copy);
+        const std::uint32_t succ = state_id(normalize(state.target_index, hop.to), hop.to);
+        g.transitions.push_back({succ, vc});
       }
     }
+    g.first.push_back(static_cast<std::uint32_t>(g.transitions.size() - worm.transition));
 
-    // CDG edges: a worm entering state s holding vc_in may next request any
-    // of s's outgoing channels.
-    std::vector<std::vector<ChannelId>> in_vcs(g.states.size());
-    for (std::uint32_t s = 0; s < g.states.size(); ++s) {
-      for (const auto& [succ, vc] : g.next[s]) in_vcs[succ].push_back(vc);
-    }
-    for (std::uint32_t s = 0; s < g.states.size(); ++s) {
-      auto& ins = in_vcs[s];
-      std::sort(ins.begin(), ins.end());
-      ins.erase(std::unique(ins.begin(), ins.end()), ins.end());
-      for (const ChannelId in : ins) {
-        for (const auto& [succ, out] : g.next[s]) {
-          if (in != out) g.edges.emplace_back(in, out);
-        }
+    // CDG edges from pairs of transitions: a worm entering a state on
+    // vc_in may next request any of that state's outgoing channels.
+    const std::span<const std::uint32_t> first(g.first.data() + worm.first,
+                                               g.first.size() - worm.first);
+    const std::span<const Transition> transitions(g.transitions.data() + worm.transition,
+                                                  g.transitions.size() - worm.transition);
+    for (const Transition& in : transitions) {
+      for (std::uint32_t k = first[in.succ]; k < first[in.succ + 1]; ++k) {
+        if (transitions[k].vc != in.vc) g.edges.emplace_back(in.vc, transitions[k].vc);
       }
     }
-    std::sort(g.edges.begin(), g.edges.end());
-    g.edges.erase(std::unique(g.edges.begin(), g.edges.end()), g.edges.end());
-    return g;
+    const auto edges = g.edges.begin() + worm.edge;
+    std::sort(edges, g.edges.end());
+    g.edges.erase(std::unique(edges, g.edges.end()), g.edges.end());
+    g.worms.push_back(worm);
+    return static_cast<std::uint32_t>(g.worms.size() - 1);
   }
 
   // Escape pass 1 over one unique worm: the escape hop must exist and be a
@@ -239,15 +349,16 @@ class RelationEngine {
   // (the initial state holds no channels yet, so a worm blocked at
   // injection cannot sustain a deadlock), and escape-only walks must
   // terminate.  Escape channels are accumulated into the global set.
-  void check_escape(const WormSpec& spec, const WormGraph& worm, EscapeReport& escape) {
+  void check_escape(const WormSpec& spec, const WormView& worm, EscapeReport& escape) {
     constexpr std::size_t kMaxFailures = 8;
     const auto fail = [&](const std::string& message) {
       if (escape.failures.size() < kMaxFailures) escape.failures.push_back(message);
     };
     constexpr std::uint32_t kNoSucc = static_cast<std::uint32_t>(-1);
-    std::vector<std::uint32_t> esc_succ(worm.states.size(), kNoSucc);
-    for (std::uint32_t s = 0; s < worm.states.size(); ++s) {
-      if (worm.terminal[s] || s == worm.initial || worm.next[s].empty()) continue;
+    const auto num_states = static_cast<std::uint32_t>(worm.states.size());
+    esc_succ_.assign(num_states, kNoSucc);
+    for (std::uint32_t s = 1; s < num_states; ++s) {
+      if (worm.terminal(s) || worm.next(s).empty()) continue;
       const NodeId node = worm.states[s].node;
       const NodeId target = spec.targets[worm.states[s].target_index];
       const RelationHop hop = rel_->escape(spec.channel_class, node, target);
@@ -258,7 +369,7 @@ class RelationEngine {
       }
       const ChannelId vc = vc_of(node, hop.to, hop.copy);
       std::uint32_t succ = kNoSucc;
-      for (const auto& [next_state, next_vc] : worm.next[s]) {
+      for (const auto& [next_state, next_vc] : worm.next(s)) {
         if (next_vc == vc) {
           succ = next_state;
           break;
@@ -269,25 +380,25 @@ class RelationEngine {
              " (copy " + std::to_string(hop.copy) + ") is not a relation candidate");
         continue;
       }
-      esc_succ[s] = succ;
+      esc_succ_[s] = succ;
       add_escape_channel(vc);
     }
     // Escape-only walks form a functional graph over states; a revisit
     // means the escape subfunction alone cannot drain the worm.
-    std::vector<std::uint8_t> color(worm.states.size(), 0);  // 0 new, 1 active, 2 done
-    for (std::uint32_t s = 0; s < worm.states.size(); ++s) {
+    color_.assign(num_states, 0);  // 0 new, 1 active, 2 done
+    for (std::uint32_t s = 0; s < num_states; ++s) {
       std::uint32_t v = s;
-      std::vector<std::uint32_t> trail;
-      while (v != kNoSucc && color[v] == 0) {
-        color[v] = 1;
-        trail.push_back(v);
-        v = esc_succ[v];
+      trail_.clear();
+      while (v != kNoSucc && color_[v] == 0) {
+        color_[v] = 1;
+        trail_.push_back(v);
+        v = esc_succ_[v];
       }
-      if (v != kNoSucc && color[v] == 1) {
+      if (v != kNoSucc && color_[v] == 1) {
         fail("escape walk does not terminate from node " +
              std::to_string(worm.states[v].node));
       }
-      for (const std::uint32_t t : trail) color[t] = 2;
+      for (const std::uint32_t t : trail_) color_[t] = 2;
     }
   }
 
@@ -302,12 +413,29 @@ class RelationEngine {
     return !escape_set_.empty() && escape_set_[vc];
   }
 
+  struct StateCell {
+    std::uint32_t stamp = 0;
+    std::uint32_t id = 0;
+  };
+
   const RoutingRelation* rel_;
   std::uint32_t n_;
   std::uint32_t num_vcs_;
-  std::map<WormKey, WormGraph> memo_;
+  WormKeyTable memo_keys_;  // memoized worm i is memo_.view(i)
+  WormGraph memo_;
+  WormGraph scratch_;
   std::vector<bool> escape_set_;
   std::size_t escape_channels_ = 0;
+  // Reused scratch.
+  std::vector<std::uint32_t> key_;
+  std::vector<StateCell> state_ids_;
+  std::uint32_t stamp_ = 0;
+  std::vector<RelationHop> hops_;
+  std::vector<std::uint32_t> esc_succ_;
+  std::vector<std::uint8_t> color_;
+  std::vector<std::uint32_t> trail_;
+  std::vector<std::uint32_t> mark_;
+  std::vector<std::uint32_t> stack_;
 };
 
 // --- witness construction --------------------------------------------------
@@ -392,13 +520,16 @@ namespace {
 
 std::vector<WormSpec> dual_path_worms(const ham::Labeling& labeling,
                                       const MulticastRequest& request) {
-  const mcast::DualPathSplit split = mcast::dual_path_prepare(labeling, request);
+  mcast::DualPathSplit split = mcast::dual_path_prepare(labeling, request);
   std::vector<WormSpec> worms;
+  worms.reserve(2);
   if (!split.high.empty()) {
-    worms.push_back({mcast::kHighChannelClass, request.source, std::nullopt, 0, split.high});
+    worms.push_back(
+        {mcast::kHighChannelClass, request.source, std::nullopt, 0, std::move(split.high)});
   }
   if (!split.low.empty()) {
-    worms.push_back({mcast::kLowChannelClass, request.source, std::nullopt, 0, split.low});
+    worms.push_back(
+        {mcast::kLowChannelClass, request.source, std::nullopt, 0, std::move(split.low)});
   }
   return worms;
 }
@@ -456,10 +587,10 @@ RoutingRelation make_relation(const Fixture& fixture, const std::string& name) {
     rel.prepare = [labeling](const MulticastRequest& r) { return dual_path_worms(*labeling, r); };
     rel.candidates = [topology, labeling](std::uint8_t, NodeId cur, NodeId target,
                                           std::vector<RelationHop>& out) {
+      thread_local std::vector<NodeId> next;
+      mcast::monotone_candidates_into(*topology, *labeling, cur, target, next);
       out.clear();
-      for (const NodeId p : mcast::monotone_candidates(*topology, *labeling, cur, target)) {
-        out.push_back({p, 0});
-      }
+      for (const NodeId p : next) out.push_back({p, 0});
     };
     const mcast::LabelRouter router(*topology, *labeling);
     rel.escape = [router](std::uint8_t, NodeId cur, NodeId target) -> RelationHop {

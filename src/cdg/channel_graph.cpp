@@ -15,11 +15,10 @@ void ChannelGraph::add_dependency(ChannelId from, ChannelId to, EdgeTag tag) {
     t.emplace(t.begin() + static_cast<std::ptrdiff_t>(idx));
   }
   if (tag == kNoEdgeTag) return;
-  auto& edge_tags = t[idx];
-  if (edge_tags.size() >= kMaxTagsPerEdge) return;
-  if (std::find(edge_tags.begin(), edge_tags.end(), tag) == edge_tags.end()) {
-    edge_tags.push_back(tag);
-  }
+  TagSet& edge = t[idx];
+  if (edge.count >= kMaxTagsPerEdge) return;
+  const auto end = edge.tags.begin() + edge.count;
+  if (std::find(edge.tags.begin(), end, tag) == end) edge.tags[edge.count++] = tag;
 }
 
 std::size_t ChannelGraph::num_dependencies() const {
@@ -32,7 +31,8 @@ std::span<const EdgeTag> ChannelGraph::edge_tags(ChannelId from, ChannelId to) c
   const auto& s = succ_.at(from);
   const auto it = std::lower_bound(s.begin(), s.end(), to);
   if (it == s.end() || *it != to) return {};
-  return tags_[from][static_cast<std::size_t>(it - s.begin())];
+  const TagSet& edge = tags_[from][static_cast<std::size_t>(it - s.begin())];
+  return {edge.tags.data(), edge.count};
 }
 
 bool ChannelGraph::acyclic() const { return !find_cycle().has_value(); }

@@ -11,6 +11,7 @@
 // minimal set of concurrent multicasts whose dependencies close the cycle.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -80,8 +81,14 @@ class ChannelGraph {
       const std::function<bool(ChannelId from, ChannelId to)>& edge_ok) const;
 
  private:
-  std::vector<std::vector<ChannelId>> succ_;        // sorted adjacency
-  std::vector<std::vector<std::vector<EdgeTag>>> tags_;  // parallel to succ_
+  // An edge's tags, inline: inserting an edge allocates nothing of its own.
+  struct TagSet {
+    std::array<EdgeTag, kMaxTagsPerEdge> tags{};
+    std::uint8_t count = 0;
+  };
+
+  std::vector<std::vector<ChannelId>> succ_;  // sorted adjacency
+  std::vector<std::vector<TagSet>> tags_;     // parallel to succ_
 };
 
 /// Build the CDG of `route` on `topology`: for every (source, destination)

@@ -1,9 +1,11 @@
-// Heap-allocation budgets of the send paths: routing, destination sampling,
+// Heap-allocation budgets of the send paths (routing, destination sampling,
 // channel hand-over, steady-state open-loop traffic, the reliable
-// multicast service and group sends.  This executable replaces the global operator
-// new/delete with counting versions (allocations and bytes requested), so
-// the counts cover every allocation in the process (the library's and the
-// standard library's); other test executables are unaffected.
+// multicast service and group sends) and of the static analyzer (relation
+// exploration and the multicast CDG build).  This executable replaces the
+// global operator new/delete with counting versions (allocations and bytes
+// requested), so the counts cover every allocation in the process (the
+// library's and the standard library's); other test executables are
+// unaffected.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +16,10 @@
 #include <new>
 #include <vector>
 
+#include "analysis/instances.hpp"
+#include "analysis/mcdg.hpp"
+#include "analysis/relation.hpp"
+#include "analysis/scenario.hpp"
 #include "core/router.hpp"
 #include "evsim/random.hpp"
 #include "evsim/scheduler.hpp"
@@ -232,6 +238,56 @@ TEST(AllocBudget, GroupSendPerSend) {
   EXPECT_TRUE(service.network().idle());
   EXPECT_LE(allocs, 34.0) << "allocations per send";
   EXPECT_LE(bytes, 5000.0) << "bytes per send";
+}
+
+// verify_mesh's analysis budget: mesh:8x8 stride-sampled to 20 000 instances.
+const analysis::AnalysisConfig kMeshAnalysis{.max_instances = 20000};
+
+TEST(AllocBudget, RelationExplorationPerWormState) {
+  // adaptive-dual-path over 218 996 worm states: per state, little beyond
+  // the enumeration and the relation's own message preparation.  Worm
+  // graphs are explored into reused flat storage.
+  const analysis::Fixture fixture = analysis::make_fixture("mesh:8x8");
+  const analysis::RoutingRelation relation =
+      analysis::make_relation(fixture, "adaptive-dual-path");
+  const std::uint64_t before = allocations();
+  const analysis::RelationReport report = analysis::analyze_relation(relation, kMeshAnalysis);
+  const std::uint64_t allocs = allocations() - before;
+  ASSERT_TRUE(report.certified());
+  ASSERT_GT(report.worm_states, 0u);
+  // 13.1 per state with a hash map, a successor vector and an incoming
+  // channel vector per explored state.
+  EXPECT_LE(static_cast<double>(allocs) / static_cast<double>(report.worm_states), 1.0)
+      << allocs << " allocations for " << report.worm_states << " worm states";
+}
+
+TEST(AllocBudget, MulticastCdgBuildBeyondRouting) {
+  // Per instance, what build_multicast_cdg allocates beyond routing the
+  // same instances: tree closures and link channels live in reused
+  // scratch, and edge tags inline in the graph.
+  const analysis::Fixture fixture = analysis::make_fixture("mesh:8x8");
+  const std::vector<mcast::MulticastRequest> instances = analysis::enumerate_instances(
+      *fixture.topology, kMeshAnalysis.max_set_size, kMeshAnalysis.max_instances);
+  for (const mcast::Algorithm algorithm :
+       {mcast::Algorithm::kXFirstMT, mcast::Algorithm::kDualPath}) {
+    const analysis::Scenario scenario = analysis::make_scenario(fixture, algorithm);
+    std::uint64_t traffic = scenario.route(instances.front()).traffic();  // thread-local set-up
+    std::uint64_t before = allocations();
+    for (const mcast::MulticastRequest& request : instances) {
+      traffic += scenario.route(request).traffic();
+    }
+    const auto routing = static_cast<double>(allocations() - before);
+    before = allocations();
+    const cdg::ChannelGraph graph = analysis::build_multicast_cdg(scenario, instances);
+    const auto building = static_cast<double>(allocations() - before);
+    EXPECT_GT(traffic, 0u);
+    EXPECT_GT(graph.num_dependencies(), 0u);
+    // 14.45 (X-first-MT) and 0.10 (dual-path) with a closure bit set per
+    // tree link, a link-channel vector per tree and a tag vector per edge.
+    EXPECT_LE((building - routing) / static_cast<double>(instances.size()), 0.5)
+        << scenario.name << ": " << building << " allocations building, " << routing
+        << " routing " << instances.size() << " instances";
+  }
 }
 
 }  // namespace

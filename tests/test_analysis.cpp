@@ -1,12 +1,16 @@
 // Tests for the static multicast analyzer (src/analysis/): instance
 // enumeration, dependency extraction under both tree semantics, the pinned
 // naive-tree deadlock regression, clean proofs for the Chapter 6
-// algorithms, and the invariant sweep.
+// algorithms, the invariant sweep, and hashes pinning the analyzer's exact
+// outputs on the CI topologies.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
+#include <optional>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -249,6 +253,25 @@ TEST(Mcdg, ShrinkInstancesKeepsOnlyWhatTheOracleNeeds) {
   EXPECT_EQ(shrunk, (std::vector<MulticastRequest>{{1, {5}}, {2, {7}}}));
 }
 
+// Every single-instance cycle the search meets retires one tag, so it may
+// take as many rounds as there are tags before it reaches a two-instance
+// cycle: 257 disjoint single-instance 2-cycles ahead of one two-instance
+// 2-cycle must not make it give up.
+TEST(Mcdg, MultiInstanceSearchOutlastsManySingleInstanceCycles) {
+  constexpr ChannelId kDecoys = 257;
+  cdg::ChannelGraph g(2 * kDecoys + 2);
+  for (ChannelId i = 0; i < kDecoys; ++i) {
+    g.add_dependency(2 * i, 2 * i + 1, i);
+    g.add_dependency(2 * i + 1, 2 * i, i);
+  }
+  g.add_dependency(2 * kDecoys, 2 * kDecoys + 1, 1000);
+  g.add_dependency(2 * kDecoys + 1, 2 * kDecoys, 1001);
+  const auto cycle = analysis::find_multi_instance_cycle(g);
+  ASSERT_TRUE(cycle.has_value());
+  EXPECT_EQ(cycle->vcs, (std::vector<ChannelId>{2 * kDecoys, 2 * kDecoys + 1}));
+  EXPECT_EQ(cycle->edge_instance, (std::vector<cdg::EdgeTag>{1000, 1001}));
+}
+
 TEST(Mcdg, BlamedInstancesRemapsEdgeTagsOntoTheSeed) {
   const std::vector<MulticastRequest> instances = {
       {0, {1}}, {1, {2}}, {2, {3}}, {3, {4}}, {4, {5}}};
@@ -383,6 +406,74 @@ TEST(Invariants, CleanAlgorithmsPassOnWraparoundTorus) {
   EXPECT_FALSE(s.shortest_unicast);
   const InvariantReport report = analysis::check_invariants(s, {});
   EXPECT_TRUE(report.ok()) << report.violations << " violations";
+}
+
+// --- pinned outputs -------------------------------------------------------
+
+std::string witness_text(const std::optional<analysis::DeadlockWitness>& witness,
+                         const topo::Topology& topology) {
+  return witness ? witness->format(topology) : "no witness\n";
+}
+
+// Every verdict, count, escape field and witness the analyzer reports on
+// one topology, as text: the deadlock and invariant reports of each
+// verifiable algorithm and the report of each verifiable relation.
+std::string analyzer_outputs(const std::string& spec) {
+  const AnalysisConfig config{.max_instances = 20000};
+  const auto fixture = analysis::make_fixture(spec);
+  const topo::Topology& topology = *fixture.topology;
+  std::ostringstream out;
+  for (const Algorithm a : analysis::verifiable_algorithms(fixture)) {
+    const Scenario s = analysis::make_scenario(fixture, a);
+    const DeadlockReport d = analysis::analyze_deadlock(s, config);
+    const InvariantReport inv = analysis::check_invariants(s, config);
+    out << s.name << ": " << d.instances_analyzed << ' ' << d.virtual_channels << ' '
+        << d.dependencies << ' ' << d.deadlock_free() << '\n'
+        << witness_text(d.witness, topology) << "invariants " << inv.instances_checked << ' '
+        << inv.violations << ' ' << inv.samples.size() << '\n';
+  }
+  for (const std::string& name : analysis::verifiable_relations(fixture)) {
+    const analysis::RelationReport r =
+        analysis::analyze_relation(analysis::make_relation(fixture, name), config);
+    const analysis::EscapeReport& e = r.escape;
+    out << name << ": " << r.instances_analyzed << ' ' << r.worm_states << ' '
+        << r.virtual_channels << ' ' << r.dependencies << ' ' << r.stuck_states << ' '
+        << r.cdg_acyclic << ' ' << r.certified() << "\nescape " << e.checked << ' '
+        << e.complete << ' ' << e.acyclic << ' ' << e.escape_channels << ' '
+        << e.extended_dependencies << '\n';
+    for (const std::string& failure : e.failures) out << "  " << failure << '\n';
+    out << witness_text(r.witness, topology);
+  }
+  return out.str();
+}
+
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : text) {
+    h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
+  }
+  return h;
+}
+
+// The analyzer's exact outputs on the five CI topologies (karymesh:4x3
+// stride-sampled to 20 000 instances), hashed.  A change to how the
+// analyzer stores or searches its graphs must leave every hash alone: a
+// moved hash is a changed verdict, count or witness.
+TEST(AnalysisPin, OutputsOnCiTopologiesAreUnchanged) {
+  const struct {
+    const char* spec;
+    std::uint64_t hash;
+  } pinned[] = {
+      {"mesh:5x4", 3941119899468419255ull},
+      {"cube:4", 15003758181895434926ull},
+      {"mesh3:3x3x3", 1505350078474888886ull},
+      {"kary:4x2", 2138489927215593843ull},
+      {"karymesh:4x3", 8586773627618806757ull},
+  };
+  for (const auto& p : pinned) {
+    const std::string text = analyzer_outputs(p.spec);
+    EXPECT_EQ(fnv1a(text), p.hash) << p.spec << " outputs:\n" << text;
+  }
 }
 
 }  // namespace

@@ -17,7 +17,9 @@ the program itself, e.g. perfbench's Release binary
 
 It prints the top 40 functions twice, by inclusive share (samples with the
 function anywhere on the stack) and by self share (samples the function
-was running).  Frames in the C and C++ runtime libraries are charged to the
+was running).  Frames in the C and C++ runtime libraries, and frames of the
+global operator new and operator delete wherever they are defined (perfbench
+replaces them in its own binary to count allocations), are charged to the
 first program frame that called them, so an allocation shows up in the
 function that asked for it.  A build without debug information resolves
 through symbol-table names, and then inlined callees are charged to their
@@ -48,6 +50,9 @@ USAGE = "usage: python3 tools/profile.py -- COMMAND [ARG...]"
 # them: the C and C++ runtimes, the dynamic loader and the sampler itself.
 RUNTIME = re.compile(r"^(libc|libm|libstdc\+\+|libgcc_s|libpthread|libdl|librt|ld-linux"
                      r"|ld64|profile_sampler)[.-]")
+# Allocation entry points, charged to their caller like runtime frames even
+# when the program defines them itself.
+ALLOCATOR = re.compile(r"^operator (new|delete)\b")
 ADDRESS = re.compile(r"^0x[0-9a-f]+$")
 
 
@@ -149,7 +154,8 @@ def report(stacks, names):
     own = collections.Counter()
     for stack in stacks:
         frames = [names[a] for a in stack]
-        program = [function for obj, function in frames if not RUNTIME.match(obj)]
+        program = [function for obj, function in frames
+                   if not RUNTIME.match(obj) and not ALLOCATOR.match(function)]
         if not program:
             program = [frames[0][1]]
         own[program[0]] += 1
