@@ -1,6 +1,7 @@
 #include "coll/collective.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -27,8 +28,8 @@ void CollConfig::validate() const {
   if (max_reissues_per_chunk == 0) {
     throw std::invalid_argument("CollConfig.max_reissues_per_chunk must be >= 1 (got 0)");
   }
-  if (!(reissue_backoff_s >= 0.0)) {
-    throw std::invalid_argument("CollConfig.reissue_backoff_s must be >= 0 (got " +
+  if (!(reissue_backoff_s >= 0.0) || !std::isfinite(reissue_backoff_s)) {
+    throw std::invalid_argument("CollConfig.reissue_backoff_s must be finite and >= 0 (got " +
                                 std::to_string(reissue_backoff_s) + ")");
   }
 }
@@ -87,15 +88,23 @@ std::uint64_t Collective::start_phase(OpKind op, topo::NodeId broadcast_root, Do
   p.alive = Bitset(m);
   for (std::size_t r = 0; r < m; ++r) p.alive.set(r);
   p.done_fn = std::move(done);
+  p.at_start = stats_;
 
-  const auto make_gather = [&p, m](std::uint32_t root, std::uint32_t chunk) {
-    GatherTask t;
+  const auto add_task = [&p, m](std::uint32_t root, bool reduced) {
+    ChunkTask t;
     t.root = root;
-    t.chunk = chunk;
+    t.reduced = reduced;
     t.done = Bitset(m);
     t.covered = Bitset(m);
-    t.done.set(root);  // the root holds its own data from the start
-    p.gather.push_back(std::move(t));
+    if (reduced) {
+      t.done.set(root);  // a gather root holds its own data from the start
+    } else {
+      t.contribs = Bitset(m);
+      t.contrib_covered = Bitset(m);
+      t.contrib_issued = Bitset(m);
+      t.contribs.set(root);  // the owner's own contribution is local
+    }
+    p.tasks.push_back(std::move(t));
   };
 
   switch (op) {
@@ -109,41 +118,31 @@ std::uint64_t Collective::start_phase(OpKind op, topo::NodeId broadcast_root, Do
                                     " is not a group member");
       }
       for (std::uint32_t c = 0; c < config_.chunks; ++c)
-        make_gather(static_cast<std::uint32_t>(r0), c);
+        add_task(static_cast<std::uint32_t>(r0), true);
       break;
     }
     case OpKind::kBarrier:
       // One arrival token per member; chunking is meaningless for an
       // empty payload.
-      for (std::uint32_t r = 0; r < m; ++r) make_gather(r, 0);
+      for (std::uint32_t r = 0; r < m; ++r) add_task(r, true);
       break;
     case OpKind::kAllgather:
     case OpKind::kAllToAllBroadcast:
       for (std::uint32_t r = 0; r < m; ++r)
-        for (std::uint32_t c = 0; c < config_.chunks; ++c) make_gather(r, c);
+        for (std::uint32_t c = 0; c < config_.chunks; ++c) add_task(r, true);
       break;
     case OpKind::kAllreduce:
-      p.reduce.reserve(config_.chunks);
-      for (std::uint32_t c = 0; c < config_.chunks; ++c) {
-        ReduceChunk rc;
-        rc.owner = m == 0 ? 0 : static_cast<std::uint32_t>(c % m);
-        rc.contribs = Bitset(m);
-        rc.contrib_covered = Bitset(m);
-        rc.contrib_issued = Bitset(m);
-        rc.done = Bitset(m);
-        rc.covered = Bitset(m);
-        if (m != 0) rc.contribs.set(rc.owner);  // owner's own contribution is local
-        p.reduce.push_back(std::move(rc));
+      // Chunk c is owned by rank c % m; an empty roster owns no chunks.
+      for (std::uint32_t c = 0; m != 0 && c < config_.chunks; ++c) {
+        add_task(static_cast<std::uint32_t>(c % m), false);
       }
       break;
   }
 
-  const std::size_t n_observed =
-      op == OpKind::kAllreduce ? p.reduce.size() : p.gather.size();
-  p.observed.assign(m, Bitset(n_observed));
-  // Roots observe their own chunks without traffic.
-  for (std::size_t i = 0; i < p.gather.size(); ++i) {
-    p.observed[p.gather[i].root].set(i);
+  p.observed.assign(m, Bitset(p.tasks.size()));
+  // Gather roots observe their own chunks without traffic.
+  for (std::size_t i = 0; i < p.tasks.size(); ++i) {
+    if (p.tasks[i].reduced) p.observed[p.tasks[i].root].set(i);
   }
 
   p.active = true;
@@ -198,23 +197,17 @@ void Collective::send_chunk(std::uint32_t src, std::vector<std::uint32_t> target
 
   // Mark coverage before the send: reliable multicast may deliver and
   // report synchronously inside send_to.
-  Bitset& covered = tag.is_contribution
-                        ? phase_.reduce[tag.task].contrib_covered
-                        : (phase_.op == OpKind::kAllreduce
-                               ? phase_.reduce[tag.task].covered
-                               : phase_.gather[tag.task].covered);
+  ChunkTask& t = phase_.tasks[tag.task];
   if (tag.is_contribution) {
-    covered.set(tag.contributor);
+    t.contrib_covered.set(tag.contributor);
   } else {
-    for (const std::uint32_t r : live_targets) covered.set(r);
+    for (const std::uint32_t r : live_targets) t.covered.set(r);
   }
 
   if (first_issue) {
-    phase_.chunks_sent++;
     stats_.chunks_sent++;
     if (metrics_.active()) metrics_.chunks_sent->inc();
   } else {
-    phase_.chunks_reissued++;
     stats_.chunks_reissued++;
     if (metrics_.active()) metrics_.chunks_reissued->inc();
   }
@@ -231,10 +224,8 @@ void Collective::send_chunk(std::uint32_t src, std::vector<std::uint32_t> target
         }
         if (sent_tag.is_contribution) {
           contribution_report(sent_tag.task, sent_tag.gen, sent_tag.contributor, report);
-        } else if (phase_.op == OpKind::kAllreduce) {
-          reduce_gather_report(sent_tag.task, sent_tag.gen, live_targets, report);
         } else {
-          gather_report(sent_tag.task, live_targets, report);
+          dissemination_report(sent_tag.task, sent_tag.gen, live_targets, report);
         }
       });
   seq_tags_.insert_or_assign(std::make_pair(src_node, seq), sent_tag);
@@ -276,12 +267,10 @@ void Collective::apply_observation(const MsgTag& tag, topo::NodeId receiver) {
   if (tag.is_contribution) return;  // owner-side application is report-driven
   const std::size_t rank = rank_of(receiver);
   if (rank == npos) return;
-  if (phase_.op == OpKind::kAllreduce) {
-    if (tag.gen != phase_.reduce[tag.task].gen) {
-      stats_.stale_discards++;
-      if (metrics_.active()) metrics_.stale_discards->inc();
-      return;
-    }
+  if (tag.gen != phase_.tasks[tag.task].gen) {  // gather tasks stay at generation 0
+    stats_.stale_discards++;
+    if (metrics_.active()) metrics_.stale_discards->inc();
+    return;
   }
   phase_.observed[rank].set(tag.task);
 }
@@ -306,65 +295,43 @@ bool any_failed(const svc::GroupSendReport& report) {
 }
 }  // namespace
 
-void Collective::defer_step(bool is_reduce, std::uint32_t idx) {
+void Collective::defer_step(std::uint32_t idx) {
   const std::uint64_t pid = phase_.id;
   std::weak_ptr<const bool> alive = alive_token_;
   groups_->service().scheduler().schedule_in(
-      config_.reissue_backoff_s, [this, alive, pid, is_reduce, idx] {
+      config_.reissue_backoff_s, [this, alive, pid, idx] {
         if (alive.expired()) return;
         if (!phase_.active || phase_.id != pid) return;
-        if (is_reduce) {
-          if (!phase_.reduce[idx].voided) step_reduce(idx);
-        } else {
-          if (!phase_.gather[idx].voided) step_gather(idx);
-        }
+        if (!phase_.tasks[idx].voided) step(idx);
         check_complete();
       });
 }
 
-void Collective::gather_report(std::uint32_t task_idx,
-                               const std::vector<std::uint32_t>& targets,
-                               const svc::GroupSendReport& report) {
-  GatherTask& t = phase_.gather[task_idx];
-  count_delivered(report, t.done);
-  for (const std::uint32_t r : targets) t.covered.reset(r);
-  if (!t.voided) {
-    // A failed destination may have failed synchronously inside the send;
-    // re-stepping inline would recurse, so back off through the scheduler.
-    if (any_failed(report)) {
-      defer_step(false, task_idx);
-    } else {
-      step_gather(task_idx);
-    }
-  }
-  check_complete();
-}
-
-void Collective::contribution_report(std::uint32_t chunk_idx, std::uint32_t gen,
+void Collective::contribution_report(std::uint32_t idx, std::uint32_t gen,
                                      std::uint32_t contributor,
                                      const svc::GroupSendReport& report) {
-  ReduceChunk& rc = phase_.reduce[chunk_idx];
-  if (gen != rc.gen) {
+  ChunkTask& t = phase_.tasks[idx];
+  if (gen != t.gen) {
     // Superseded ownership generation: the re-owned chunk restarted its
     // reduction from scratch, so this outcome must not touch it.
     stats_.stale_discards++;
     if (metrics_.active()) metrics_.stale_discards->inc();
     return;
   }
-  rc.contrib_covered.reset(contributor);
+  t.contrib_covered.reset(contributor);
   bool delivered = false;
   for (const auto& d : report.destinations) {
     delivered |= d.outcome == svc::GroupOutcome::kDeliveredInView;
   }
   if (delivered) {
-    if (rc.contribs.test(contributor)) {
+    if (t.contribs.test(contributor)) {
       // Applying the same (generation, contributor) twice would double the
       // contribution in a real reduction; the issue guards make this
       // unreachable and tests pin the counter to zero.
       stats_.double_applies++;
       if (metrics_.active()) metrics_.double_applies->inc();
     } else {
-      rc.contribs.set(contributor);
+      t.contribs.set(contributor);
       stats_.contributions_applied++;
       stats_.chunks_delivered++;
       if (metrics_.active()) {
@@ -373,53 +340,50 @@ void Collective::contribution_report(std::uint32_t chunk_idx, std::uint32_t gen,
       }
     }
   }
-  if (!rc.voided) {
+  if (!t.voided) {
     if (delivered) {
-      step_reduce(chunk_idx);
+      step(idx);
     } else {
-      defer_step(true, chunk_idx);
+      defer_step(idx);
     }
   }
   check_complete();
 }
 
-void Collective::reduce_gather_report(std::uint32_t chunk_idx, std::uint32_t gen,
+void Collective::dissemination_report(std::uint32_t idx, std::uint32_t gen,
                                       const std::vector<std::uint32_t>& targets,
                                       const svc::GroupSendReport& report) {
-  ReduceChunk& rc = phase_.reduce[chunk_idx];
-  if (gen != rc.gen) {
+  ChunkTask& t = phase_.tasks[idx];
+  if (gen != t.gen) {
     stats_.stale_discards++;
     if (metrics_.active()) metrics_.stale_discards->inc();
     return;
   }
-  count_delivered(report, rc.done);
-  for (const std::uint32_t r : targets) rc.covered.reset(r);
-  if (!rc.voided) {
+  count_delivered(report, t.done);
+  for (const std::uint32_t r : targets) t.covered.reset(r);
+  if (!t.voided) {
+    // A failed destination may have failed synchronously inside the send;
+    // re-stepping inline would recurse, so back off through the scheduler.
     if (any_failed(report)) {
-      defer_step(true, chunk_idx);
+      defer_step(idx);
     } else {
-      step_reduce(chunk_idx);
+      step(idx);
     }
   }
   check_complete();
 }
 
-void Collective::void_chunk(bool is_reduce, std::uint32_t idx) {
-  if (is_reduce) {
-    phase_.reduce[idx].voided = true;
-  } else {
-    phase_.gather[idx].voided = true;
-  }
-  phase_.chunks_voided++;
-  phase_.degraded = true;
+void Collective::void_chunk(std::uint32_t idx) {
+  phase_.tasks[idx].voided = true;
   stats_.chunks_voided++;
   if (metrics_.active()) metrics_.chunks_voided->inc();
 }
 
-void Collective::step_gather(std::uint32_t task_idx) {
+void Collective::step(std::uint32_t idx) {
   if (!phase_.active) return;
-  GatherTask& t = phase_.gather[task_idx];
-  if (t.voided) return;
+  const bool reduce = phase_.op == OpKind::kAllreduce;
+  if (phase_.tasks[idx].voided || (reduce && !step_reduce(idx))) return;
+  ChunkTask& t = phase_.tasks[idx];
 
   std::vector<std::uint32_t> needed;
   for (std::size_t r = 0; r < phase_.alive.size(); ++r) {
@@ -429,17 +393,18 @@ void Collective::step_gather(std::uint32_t task_idx) {
   }
   if (needed.empty()) return;
 
-  // Re-root from the lowest live holder: the root itself while it lives,
-  // else any member the chunk already reached (same data, so the relayed
-  // copy is identical).
-  const std::size_t src = lowest_live_holder(t.done);
+  // A reduced allreduce chunk goes out from its owner.  A gather chunk
+  // goes out from its lowest live holder: the root until the chunk reaches
+  // a lower rank, and any member it reached once the root is gone (same
+  // data, so the relayed copy is identical).
+  const std::size_t src = reduce ? t.root : lowest_live_holder(t.done);
   if (src == npos) {
-    void_chunk(false, task_idx);
+    void_chunk(idx);
     return;
   }
   if (t.issued) {
     if (t.reissues >= config_.max_reissues_per_chunk) {
-      void_chunk(false, task_idx);
+      void_chunk(idx);
       return;
     }
     t.reissues++;
@@ -447,107 +412,77 @@ void Collective::step_gather(std::uint32_t task_idx) {
   const bool first = !t.issued;
   t.issued = true;
   send_chunk(static_cast<std::uint32_t>(src), std::move(needed),
-             MsgTag{phase_.id, false, task_idx, 0, 0}, first);
+             MsgTag{phase_.id, false, idx, t.gen, 0}, first);
 }
 
-void Collective::step_reduce(std::uint32_t chunk_idx) {
-  if (!phase_.active) return;
+bool Collective::step_reduce(std::uint32_t idx) {
   const std::uint64_t pid = phase_.id;
-  ReduceChunk& rc = phase_.reduce[chunk_idx];
-  if (rc.voided) return;
+  ChunkTask& t = phase_.tasks[idx];
 
   // Ownership repair first.  A reduced chunk re-roots to a live holder
   // (identical value); an unreduced or holder-less chunk restarts its
   // reduction under a new owner and generation, discarding in-flight
   // state wholesale via the generation check.
-  if (!phase_.alive.test(rc.owner)) {
-    const std::size_t holder = rc.reduced ? lowest_live_holder(rc.done) : npos;
+  if (!phase_.alive.test(t.root)) {
+    const std::size_t holder = t.reduced ? lowest_live_holder(t.done) : npos;
     if (holder != npos) {
-      rc.owner = static_cast<std::uint32_t>(holder);
+      t.root = static_cast<std::uint32_t>(holder);
     } else {
       const std::size_t fresh = lowest_live();
-      if (fresh == npos) return;  // nobody left; completion is trivial
-      rc.owner = static_cast<std::uint32_t>(fresh);
-      rc.gen++;
-      rc.reduced = false;
-      rc.contribs.clear();
-      rc.contrib_covered.clear();
-      rc.done.clear();
-      rc.covered.clear();
-      rc.contribs.set(rc.owner);
-      for (auto& bits : phase_.observed) bits.reset(chunk_idx);
+      if (fresh == npos) return false;  // nobody left; completion is trivial
+      t.root = static_cast<std::uint32_t>(fresh);
+      t.gen++;
+      t.reduced = false;
+      t.contribs.clear();
+      t.contrib_covered.clear();
+      t.done.clear();
+      t.covered.clear();
+      t.contribs.set(t.root);
+      for (auto& bits : phase_.observed) bits.reset(idx);
     }
   }
+  if (t.reduced) return true;
 
-  if (!rc.reduced) {
-    // Reduce-scatter: every live contributor ships its chunk contribution
-    // to the owner, exactly once per generation.
-    for (std::size_t r = 0; r < phase_.alive.size(); ++r) {
-      if (r == rc.owner || !phase_.alive.test(r)) continue;
-      if (rc.contribs.test(r) || rc.contrib_covered.test(r)) continue;
-      const bool first = !rc.contrib_issued.test(r);
-      if (!first) {
-        // Contribution re-sends draw on the same re-issue budget as the
-        // allgather leg, so a permanently unreachable owner voids the
-        // chunk instead of retrying forever.
-        if (rc.reissues >= config_.max_reissues_per_chunk) {
-          void_chunk(true, chunk_idx);
-          return;
-        }
-        rc.reissues++;
-      }
-      rc.contrib_issued.set(r);
-      send_chunk(static_cast<std::uint32_t>(r), {rc.owner},
-                 MsgTag{phase_.id, true, chunk_idx, rc.gen,
-                        static_cast<std::uint32_t>(r)},
-                 first);
-      if (!phase_.active || phase_.id != pid) return;  // completed re-entrantly
-    }
-    bool all_in = true;
-    for (std::size_t r = 0; r < phase_.alive.size(); ++r) {
-      if (phase_.alive.test(r) && !rc.contribs.test(r)) {
-        all_in = false;
-        break;
-      }
-    }
-    if (!all_in) return;
-    rc.reduced = true;
-    rc.done.clear();
-    rc.done.set(rc.owner);
-    phase_.observed[rc.owner].set(chunk_idx);
-  }
-
-  // Allgather leg: the owner (or a re-rooted holder) multicasts the
-  // reduced chunk to every live rank still missing it.
-  std::vector<std::uint32_t> needed;
+  // Reduce-scatter: every live contributor ships its chunk contribution
+  // to the owner, exactly once per generation.
   for (std::size_t r = 0; r < phase_.alive.size(); ++r) {
-    if (phase_.alive.test(r) && !rc.done.test(r) && !rc.covered.test(r)) {
-      needed.push_back(static_cast<std::uint32_t>(r));
+    if (r == t.root || !phase_.alive.test(r)) continue;
+    if (t.contribs.test(r) || t.contrib_covered.test(r)) continue;
+    const bool first = !t.contrib_issued.test(r);
+    if (!first) {
+      // Contribution re-sends draw on the same re-issue budget as the
+      // dissemination, so a permanently unreachable owner voids the chunk
+      // instead of retrying forever.
+      if (t.reissues >= config_.max_reissues_per_chunk) {
+        void_chunk(idx);
+        return false;
+      }
+      t.reissues++;
     }
+    t.contrib_issued.set(r);
+    send_chunk(static_cast<std::uint32_t>(r), {t.root},
+               MsgTag{phase_.id, true, idx, t.gen, static_cast<std::uint32_t>(r)}, first);
+    if (!phase_.active || phase_.id != pid) return false;  // completed re-entrantly
   }
-  if (needed.empty()) return;
-  if (rc.issued) {
-    if (rc.reissues >= config_.max_reissues_per_chunk) {
-      void_chunk(true, chunk_idx);
-      return;
-    }
-    rc.reissues++;
+  for (std::size_t r = 0; r < phase_.alive.size(); ++r) {
+    if (phase_.alive.test(r) && !t.contribs.test(r)) return false;
   }
-  const bool first = !rc.issued;
-  rc.issued = true;
-  send_chunk(rc.owner, std::move(needed),
-             MsgTag{phase_.id, false, chunk_idx, rc.gen, 0}, first);
+  t.reduced = true;
+  t.done.clear();
+  t.done.set(t.root);
+  phase_.observed[t.root].set(idx);
+  return true;
 }
 
 void Collective::step_all(bool counting_restart) {
   const std::uint64_t pid = phase_.id;
-  for (std::uint32_t c = 0; c < phase_.reduce.size(); ++c) {
+  for (std::uint32_t i = 0; i < phase_.tasks.size(); ++i) {
     if (!phase_.active || phase_.id != pid) return;
-    const ReduceChunk& rc = phase_.reduce[c];
-    if (counting_restart && !rc.voided && rc.reduced) {
+    const ChunkTask& t = phase_.tasks[i];
+    if (counting_restart && !t.voided && t.reduced) {
       bool complete = true;
       for (std::size_t r = 0; r < phase_.alive.size(); ++r) {
-        if (phase_.alive.test(r) && !rc.done.test(r)) {
+        if (phase_.alive.test(r) && !t.done.test(r)) {
           complete = false;
           break;
         }
@@ -559,26 +494,7 @@ void Collective::step_all(bool counting_restart) {
         continue;
       }
     }
-    step_reduce(c);
-  }
-  for (std::uint32_t i = 0; i < phase_.gather.size(); ++i) {
-    if (!phase_.active || phase_.id != pid) return;
-    const GatherTask& t = phase_.gather[i];
-    if (counting_restart && !t.voided) {
-      bool complete = true;
-      for (std::size_t r = 0; r < phase_.alive.size(); ++r) {
-        if (phase_.alive.test(r) && !t.done.test(r)) {
-          complete = false;
-          break;
-        }
-      }
-      if (complete) {
-        stats_.sends_suppressed++;
-        if (metrics_.active()) metrics_.sends_suppressed->inc();
-        continue;
-      }
-    }
-    step_gather(i);
+    step(i);
   }
 }
 
@@ -592,30 +508,23 @@ void Collective::on_view_settled(const svc::MembershipView& view) {
       phase_.alive.reset(r);
     }
   }
-  phase_.restarts++;
   stats_.restarts++;
   if (metrics_.active()) metrics_.restarts->inc();
 
-  const std::uint64_t before = phase_.chunks_reissued;
+  const std::uint64_t before = stats_.chunks_reissued;
   step_all(true);
   if (metrics_.active()) {
     metrics_.chunks_reissued_per_restart->record(
-        static_cast<double>(phase_.chunks_reissued - before));
+        static_cast<double>(stats_.chunks_reissued - before));
   }
   check_complete();
 }
 
 void Collective::check_complete() {
   if (!phase_.active) return;
-  for (const ReduceChunk& rc : phase_.reduce) {
-    if (rc.voided) continue;
-    if (!rc.reduced) return;
-    for (std::size_t r = 0; r < phase_.alive.size(); ++r) {
-      if (phase_.alive.test(r) && !rc.done.test(r)) return;
-    }
-  }
-  for (const GatherTask& t : phase_.gather) {
+  for (const ChunkTask& t : phase_.tasks) {
     if (t.voided) continue;
+    if (!t.reduced) return;
     for (std::size_t r = 0; r < phase_.alive.size(); ++r) {
       if (phase_.alive.test(r) && !t.done.test(r)) return;
     }
@@ -629,7 +538,6 @@ void Collective::finish_phase() {
   PhaseResult result;
   result.op = phase_.op;
   result.phase_id = phase_.id;
-  result.degraded = phase_.degraded;
   result.completed = true;  // every recoverable chunk reached every survivor
   result.started_at_s = phase_.started_at;
   result.completed_at_s = groups_->service().scheduler().now();
@@ -637,10 +545,11 @@ void Collective::finish_phase() {
   for (std::size_t r = 0; r < phase_.alive.size(); ++r) {
     if (phase_.alive.test(r)) result.survivors.push_back(phase_.roster[r]);
   }
-  result.chunks_sent = phase_.chunks_sent;
-  result.chunks_reissued = phase_.chunks_reissued;
-  result.restarts = phase_.restarts;
-  result.chunks_voided = phase_.chunks_voided;
+  result.chunks_sent = stats_.chunks_sent - phase_.at_start.chunks_sent;
+  result.chunks_reissued = stats_.chunks_reissued - phase_.at_start.chunks_reissued;
+  result.restarts = stats_.restarts - phase_.at_start.restarts;
+  result.chunks_voided = stats_.chunks_voided - phase_.at_start.chunks_voided;
+  result.degraded = result.chunks_voided != 0;
 
   stats_.phases_completed++;
   if (metrics_.active()) {
@@ -671,14 +580,8 @@ bool Collective::observed_all(topo::NodeId member) const {
   const std::size_t rank = rank_of(member);
   if (rank == npos || rank >= phase_.observed.size()) return false;
   const Bitset& bits = phase_.observed[rank];
-  if (phase_.op == OpKind::kAllreduce) {
-    for (std::size_t c = 0; c < phase_.reduce.size(); ++c) {
-      if (!phase_.reduce[c].voided && !bits.test(c)) return false;
-    }
-    return true;
-  }
-  for (std::size_t i = 0; i < phase_.gather.size(); ++i) {
-    if (!phase_.gather[i].voided && !bits.test(i)) return false;
+  for (std::size_t i = 0; i < phase_.tasks.size(); ++i) {
+    if (!phase_.tasks[i].voided && !bits.test(i)) return false;
   }
   return true;
 }

@@ -11,14 +11,16 @@
 //    Members evicted during the phase are excluded from then on (sticky:
 //    an evict + rejoin does not resurface in this phase -- joiners defer
 //    to the next phase, which snapshots a fresh roster).
-//  * Data is abstract: each root contributes `chunks` chunks; holding a
-//    chunk is a bit, not bytes.  Gather-style ops (broadcast, barrier,
-//    allgather, all-to-all broadcast) complete when every live rank's
-//    completion bitmap covers every recoverable (root, chunk) task.
-//    Allreduce runs chunked reduce-scatter (each contributor sends its
-//    per-chunk contribution to the chunk's owner) then allgather (owners
-//    multicast reduced chunks); contributions are applied exactly once
-//    per (chunk generation, contributor).
+//  * Data is abstract: holding a chunk is a bit, not bytes.  Every op is
+//    a list of chunk tasks, each disseminated from one holder to every
+//    live rank; the phase completes when every live rank's completion
+//    bitmap covers every recoverable task.  Gather-style ops (broadcast,
+//    barrier, allgather, all-to-all broadcast) make one task per (root,
+//    chunk), held by its root from the start.  Allreduce makes one task
+//    per chunk that first runs reduce-scatter (each contributor sends its
+//    per-chunk contribution to the chunk's owner) and is then
+//    disseminated like a gather task; contributions are applied exactly
+//    once per (chunk generation, contributor).
 //  * The state machine is driven by GroupSendReport outcomes: a
 //    kDeliveredInView destination sets its completion bit; terminal
 //    failures clear the chunk's covered bits so the next step re-issues.
@@ -28,13 +30,15 @@
 //    yet stable in the new view (per destination: not done, not covered
 //    by a still-live send, still alive).  Chunks whose every live target
 //    already holds them are never re-sent.
-//  * Fault recovery: a dead gather root or allreduce owner re-roots to
-//    the lowest live rank already holding the chunk (same value, so every
-//    member converges on one result); an unreduced chunk whose owner died
-//    demotes to reduce-scatter under a new owner with a bumped
-//    generation, and stale-generation deliveries/reports are discarded
-//    wholesale.  A chunk no live member holds is voided (the phase
-//    completes degraded).
+//  * Sources and fault recovery: every (re)issue of a gather chunk goes
+//    out from the lowest live rank holding it, which may be a lower rank
+//    than a live root once the chunk reached one (same value, so every
+//    member converges on one result).  A reduced allreduce chunk goes out
+//    from its owner; a dead owner hands a reduced chunk to the lowest
+//    live holder, and an unreduced chunk demotes to reduce-scatter under
+//    a new owner with a bumped generation (stale-generation deliveries
+//    and reports are discarded wholesale).  A chunk no live member holds
+//    is voided (the phase completes degraded).
 //
 // See docs/COLLECTIVES.md for the phase-machine and restart walkthrough.
 #pragma once
@@ -121,6 +125,7 @@ struct PhaseResult {
   double completed_at_s = 0.0;
   std::vector<topo::NodeId> roster;     // phase membership at start (sorted)
   std::vector<topo::NodeId> survivors;  // roster members still live at the end
+  // The phase's change in Collective::stats().
   std::uint64_t chunks_sent = 0;      // multicasts issued (first sends)
   std::uint64_t chunks_reissued = 0;  // re-sends (restarts, drops, re-roots)
   std::uint64_t restarts = 0;         // view-settled restart passes
@@ -187,28 +192,18 @@ class Collective {
   [[nodiscard]] const CollConfig& config() const { return config_; }
 
  private:
-  /// One gather-style chunk task: root `root` disseminating chunk `chunk`
-  /// to every live rank.
-  struct GatherTask {
-    std::uint32_t root = 0;   // roster rank
-    std::uint32_t chunk = 0;
-    Bitset done;     // ranks holding the chunk (root starts set)
-    Bitset covered;  // ranks targeted by an outstanding send
-    std::uint32_t reissues = 0;
-    bool issued = false;
-    bool voided = false;
-  };
-
-  /// One allreduce chunk: reduce-scatter into `owner`, then allgather.
-  struct ReduceChunk {
-    std::uint32_t owner = 0;  // roster rank owning the reduction
-    std::uint32_t gen = 0;    // bumped when an unreduced chunk re-owns
+  /// One chunk disseminated to every live rank.  A gather task starts
+  /// reduced, held by its root; an allreduce task first reduces into its
+  /// owner `root`, then disseminates like a gather task.
+  struct ChunkTask {
+    std::uint32_t root = 0;  // roster rank: gather root / allreduce owner
+    std::uint32_t gen = 0;   // bumped when an unreduced chunk re-owns (allreduce)
     bool reduced = false;
     Bitset contribs;         // contributor ranks applied (exactly once per gen)
     Bitset contrib_covered;  // contributors with an outstanding send this gen
     Bitset contrib_issued;   // contributors that ever sent (reissue accounting)
-    Bitset done;             // ranks holding the reduced chunk
-    Bitset covered;
+    Bitset done;             // ranks holding the (reduced) chunk
+    Bitset covered;          // ranks targeted by an outstanding send
     std::uint32_t reissues = 0;
     bool issued = false;
     bool voided = false;
@@ -221,23 +216,18 @@ class Collective {
     double started_at = 0.0;
     std::vector<topo::NodeId> roster;  // sorted; index = rank
     Bitset alive;                      // sticky-dead ranks cleared forever
-    std::vector<GatherTask> gather;
-    std::vector<ReduceChunk> reduce;
-    /// rank -> observed-chunk bitmap (gather: task index; reduce: chunk).
+    std::vector<ChunkTask> tasks;
+    /// rank -> observed-chunk bitmap over task indices.
     std::vector<Bitset> observed;
     DoneFn done_fn;
-    std::uint64_t chunks_sent = 0;
-    std::uint64_t chunks_reissued = 0;
-    std::uint64_t restarts = 0;
-    std::uint64_t chunks_voided = 0;
-    bool degraded = false;
+    Stats at_start;  // stats_ when the phase started (PhaseResult counts)
   };
 
   /// Routes an in-order delivery (sender, seq) back to its chunk.
   struct MsgTag {
     std::uint64_t phase = 0;
     bool is_contribution = false;  // allreduce reduce-scatter leg
-    std::uint32_t task = 0;        // gather task index / reduce chunk index
+    std::uint32_t task = 0;        // task index
     std::uint32_t gen = 0;
     std::uint32_t contributor = 0;  // rank (contribution sends only)
   };
@@ -250,14 +240,15 @@ class Collective {
   /// order, issuing exactly the sends whose targets are live, not done,
   /// and not covered.
   void step_all(bool counting_restart);
-  void step_gather(std::uint32_t task_idx);
-  void step_reduce(std::uint32_t chunk_idx);
-  void gather_report(std::uint32_t task_idx, const std::vector<std::uint32_t>& targets,
-                     const svc::GroupSendReport& report);
-  void contribution_report(std::uint32_t chunk_idx, std::uint32_t gen,
-                           std::uint32_t contributor,
+  /// Step one task: (allreduce) its reduce-scatter stage, then multicast
+  /// the chunk to every live rank not done and not covered.
+  void step(std::uint32_t idx);
+  /// Allreduce stage of step(): ownership repair and contribution sends.
+  /// True once the chunk is reduced and the phase is still running.
+  bool step_reduce(std::uint32_t idx);
+  void contribution_report(std::uint32_t idx, std::uint32_t gen, std::uint32_t contributor,
                            const svc::GroupSendReport& report);
-  void reduce_gather_report(std::uint32_t chunk_idx, std::uint32_t gen,
+  void dissemination_report(std::uint32_t idx, std::uint32_t gen,
                             const std::vector<std::uint32_t>& targets,
                             const svc::GroupSendReport& report);
   /// Issue one multicast of one chunk from `src` to `targets` (ranks).
@@ -267,8 +258,8 @@ class Collective {
   /// Re-step `idx` after reissue_backoff_s (used when a report carried a
   /// failed destination; stepping inline would recurse on synchronous
   /// failures).  No-op by the time it fires if the phase moved on.
-  void defer_step(bool is_reduce, std::uint32_t idx);
-  void void_chunk(bool is_reduce, std::uint32_t idx);
+  void defer_step(std::uint32_t idx);
+  void void_chunk(std::uint32_t idx);
   void check_complete();
   void finish_phase();
 

@@ -2,9 +2,13 @@
 // broadcast bound, quiet-group completion for every op, view-change-aware
 // restart (evicted members excluded, stable chunks never re-sent, no
 // double-applied reduction contributions), and seeded churn replay where
-// every surviving member ends up holding the complete result.
+// every surviving member ends up holding the complete result.  CollPin
+// hashes every op's phase results, stats and observed chunks, including
+// the voiding path, so the engine's outputs cannot move unnoticed.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <functional>
 #include <memory>
 #include <string>
@@ -56,6 +60,18 @@ TEST(CollConfig, ValidationRejectsBadFields) {
   c = coll::CollConfig{};
   c.max_reissues_per_chunk = 0;
   EXPECT_THROW(c.validate(), std::invalid_argument);
+
+  // A non-finite backoff would park deferred re-steps at t = +inf.
+  for (const double bad : {-1e-6, std::nan(""), HUGE_VAL}) {
+    c = coll::CollConfig{};
+    c.reissue_backoff_s = bad;
+    try {
+      c.validate();
+      FAIL() << "reissue_backoff_s=" << bad << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("reissue_backoff_s"), std::string::npos);
+    }
+  }
 
   EXPECT_NO_THROW(coll::CollConfig{}.validate());
 }
@@ -261,6 +277,40 @@ TEST(CollPhase, AllToAllBroadcastCompletes) {
   }
 }
 
+TEST(CollPhase, AllreduceOnEmptyViewCompletes) {
+  // The last member leaves: an empty roster owns no chunks, so every op
+  // completes at once instead of indexing a zero-width rank bitmap.
+  Fixture fx(4, 4);
+  svc::GroupService groups(fx.service);
+  const auto gid = groups.create_group({3});
+  groups.leave(gid, 3);
+  ASSERT_TRUE(groups.view(gid).members.empty());
+  coll::Collective coll(groups, gid);
+
+  std::vector<coll::PhaseResult> results;
+  coll.allreduce([&](const coll::PhaseResult& r1) {
+    results.push_back(r1);
+    coll.allgather([&](const coll::PhaseResult& r2) {
+      results.push_back(r2);
+      coll.barrier([&](const coll::PhaseResult& r3) { results.push_back(r3); });
+    });
+  });
+  EXPECT_THROW(coll::Collective(groups, gid).broadcast(3), std::invalid_argument);
+  fx.run_until(groups, 1e-3);
+
+  ASSERT_EQ(results.size(), 3u);
+  for (const coll::PhaseResult& r : results) {
+    EXPECT_TRUE(r.completed) << coll::to_string(r.op);
+    EXPECT_FALSE(r.degraded) << coll::to_string(r.op);
+    EXPECT_TRUE(r.roster.empty());
+    EXPECT_TRUE(r.survivors.empty());
+    EXPECT_EQ(r.chunks_sent, 0u);
+    EXPECT_EQ(r.completed_at_s, r.started_at_s);
+  }
+  EXPECT_EQ(coll.stats().phases_completed, 3u);
+  EXPECT_EQ(coll.observed_chunks(3), 0u);
+}
+
 TEST(CollPhase, PhasesChainBackToBack) {
   Fixture fx(4, 4);
   svc::GroupService groups(fx.service);
@@ -451,9 +501,22 @@ struct CollChurnRun {
   coll::Collective::Stats stats;
   std::vector<topo::NodeId> last_survivors;
   std::size_t last_observed_all = 0;  // survivors of the last phase holding it all
+  std::vector<std::size_t> last_observed;  // observed_chunks per last-phase roster member
 };
 
-CollChurnRun run_coll_churn(coll::OpKind op, std::uint64_t seed) {
+// Starts one phase of `op`; a broadcast goes out from node 5.
+void start_op(coll::Collective& coll, coll::OpKind op, const coll::Collective::DoneFn& done) {
+  switch (op) {
+    case coll::OpKind::kBroadcast: coll.broadcast(5, done); break;
+    case coll::OpKind::kBarrier: coll.barrier(done); break;
+    case coll::OpKind::kAllgather: coll.allgather(done); break;
+    case coll::OpKind::kAllreduce: coll.allreduce(done); break;
+    case coll::OpKind::kAllToAllBroadcast: coll.all_to_all_broadcast(done); break;
+  }
+}
+
+CollChurnRun run_coll_churn(coll::OpKind op, std::uint64_t seed,
+                            coll::CollConfig cfg = {.chunks = 2}) {
   Fixture fx(8, 8);
   svc::GroupService groups(fx.service);
   std::vector<topo::NodeId> init = {0, 1, 2, 3, 4, 5, 6, 7};
@@ -469,8 +532,6 @@ CollChurnRun run_coll_churn(coll::OpKind op, std::uint64_t seed) {
   const auto schedule = svc::ChurnSchedule::random(init, cand, cc);
   schedule_churn(groups, gid, fx.sched, schedule);
 
-  coll::CollConfig cfg;
-  cfg.chunks = 2;
   coll::Collective coll(groups, gid, cfg);
 
   CollChurnRun out;
@@ -478,18 +539,10 @@ CollChurnRun run_coll_churn(coll::OpKind op, std::uint64_t seed) {
       [&](const coll::PhaseResult& r) {
         out.results.push_back(r);
         if (fx.sched.now() < cc.t_end_s && groups.view(gid).members.size() >= 2) {
-          if (op == coll::OpKind::kAllreduce) {
-            coll.allreduce(next);
-          } else {
-            coll.allgather(next);
-          }
+          start_op(coll, op, next);
         }
       };
-  if (op == coll::OpKind::kAllreduce) {
-    coll.allreduce(next);
-  } else {
-    coll.allgather(next);
-  }
+  start_op(coll, op, next);
 
   fx.sched.schedule_at(cc.t_end_s + 20e-3, [&] { groups.stop(); });
   fx.sched.run();  // must terminate: no phase may wedge
@@ -499,6 +552,9 @@ CollChurnRun run_coll_churn(coll::OpKind op, std::uint64_t seed) {
     out.last_survivors = out.results.back().survivors;
     for (const topo::NodeId m : out.last_survivors) {
       out.last_observed_all += coll.observed_all(m) ? 1 : 0;
+    }
+    for (const topo::NodeId m : out.results.back().roster) {
+      out.last_observed.push_back(coll.observed_chunks(m));
     }
   }
   return out;
@@ -542,6 +598,173 @@ TEST(CollChurn, ReplaysDeterministically) {
   for (std::size_t i = 0; i < a.results.size(); ++i) {
     EXPECT_EQ(a.results[i].completed_at_s, b.results[i].completed_at_s);
     EXPECT_EQ(a.results[i].survivors, b.results[i].survivors);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Pinned outputs.  Each run hashes every PhaseResult field (time stamps by
+// bit pattern), the final Stats and observed_chunks() for every member of
+// the last phase's roster.  The hashes were recorded before the gather and
+// allreduce chunk models were merged into one task model and must never
+// be re-recorded: a change to how chunk tasks are stored or stepped may
+// not move a send, a restart, a re-root or a voided chunk.
+
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xffU;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::uint64_t pin_hash(const std::vector<coll::PhaseResult>& results,
+                       const coll::Collective::Stats& s,
+                       const std::vector<std::size_t>& observed) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) { h = fnv1a(h, v); };
+  const auto mix_nodes = [&mix](const std::vector<topo::NodeId>& nodes) {
+    mix(nodes.size());
+    for (const topo::NodeId n : nodes) mix(n);
+  };
+  mix(results.size());
+  for (const coll::PhaseResult& r : results) {
+    mix(static_cast<std::uint64_t>(r.op));
+    mix(r.phase_id);
+    mix(r.completed ? 1 : 0);
+    mix(r.degraded ? 1 : 0);
+    mix(std::bit_cast<std::uint64_t>(r.started_at_s));
+    mix(std::bit_cast<std::uint64_t>(r.completed_at_s));
+    mix_nodes(r.roster);
+    mix_nodes(r.survivors);
+    for (const std::uint64_t v : {r.chunks_sent, r.chunks_reissued, r.restarts, r.chunks_voided}) {
+      mix(v);
+    }
+  }
+  for (const std::uint64_t v :
+       {s.phases_started, s.phases_completed, s.chunks_sent, s.chunks_reissued,
+        s.chunks_delivered, s.chunks_voided, s.restarts, s.sends_suppressed,
+        s.stale_discards, s.contributions_applied, s.double_applies}) {
+    mix(v);
+  }
+  mix(observed.size());
+  for (const std::size_t o : observed) mix(o);
+  return h;
+}
+
+struct PinRun {
+  std::vector<coll::PhaseResult> results;
+  coll::Collective::Stats stats;
+  std::vector<std::size_t> observed;
+
+  [[nodiscard]] std::uint64_t hash() const { return pin_hash(results, stats, observed); }
+};
+
+// One phase of `op` on {0, 5, 10, 15} of a 4x4 mesh; `inject` schedules
+// membership or fault events before the phase starts.
+PinRun run_pinned_phase(
+    coll::OpKind op, coll::CollConfig cfg,
+    const std::function<void(Fixture&, svc::GroupService&, svc::GroupId)>& inject = {}) {
+  Fixture fx(4, 4);
+  svc::GroupService groups(fx.service);
+  const auto gid = groups.create_group({0, 5, 10, 15});
+  coll::Collective coll(groups, gid, cfg);
+  if (inject) inject(fx, groups, gid);
+
+  PinRun out;
+  start_op(coll, op, [&out](const coll::PhaseResult& r) { out.results.push_back(r); });
+  fx.run_until(groups, 10e-3);
+  out.stats = coll.stats();
+  for (const topo::NodeId m : {0, 5, 10, 15}) out.observed.push_back(coll.observed_chunks(m));
+  return out;
+}
+
+TEST(CollPin, PhaseResultsAreUnchanged) {
+  std::vector<std::pair<std::string, std::uint64_t>> got;
+
+  for (const coll::OpKind op :
+       {coll::OpKind::kBroadcast, coll::OpKind::kBarrier, coll::OpKind::kAllgather,
+        coll::OpKind::kAllreduce, coll::OpKind::kAllToAllBroadcast}) {
+    const PinRun r = run_pinned_phase(op, {.chunks = 3});
+    ASSERT_EQ(r.results.size(), 1u) << coll::to_string(op);
+    got.emplace_back(std::string("quiet ") + coll::to_string(op), r.hash());
+  }
+
+  const auto churn_hash = [](const CollChurnRun& r) {
+    return pin_hash(r.results, r.stats, r.last_observed);
+  };
+  for (const std::uint64_t seed : {11u, 42u, 77u, 99u}) {
+    got.emplace_back("churn allgather " + std::to_string(seed),
+                     churn_hash(run_coll_churn(coll::OpKind::kAllgather, seed)));
+  }
+  for (const std::uint64_t seed : {5u, 29u, 301u}) {
+    got.emplace_back("churn allreduce " + std::to_string(seed),
+                     churn_hash(run_coll_churn(coll::OpKind::kAllreduce, seed)));
+  }
+  // Churn with a re-issue budget of one voids chunks in most phases.
+  const CollChurnRun tight = run_coll_churn(coll::OpKind::kAllreduce, 5,
+                                            {.chunks = 2, .max_reissues_per_chunk = 1});
+  EXPECT_GT(tight.stats.chunks_voided, 0u);
+  got.emplace_back("churn allreduce 5 budget 1", churn_hash(tight));
+
+  // Node 15 owns chunk 3 and leaves before its reduction completes.
+  got.emplace_back("allreduce owner leaves",
+                   run_pinned_phase(coll::OpKind::kAllreduce, {.chunks = 4},
+                                    [](Fixture& fx, svc::GroupService& groups, svc::GroupId gid) {
+                                      fx.sched.schedule_at(1e-9, [&groups, gid] {
+                                        groups.leave(gid, 15);
+                                      });
+                                    })
+                       .hash());
+
+  // Voiding.  Node 15 fails at 1 ns, before any of its chunks reach
+  // anyone, and the detector evicts it at 0.4 ms.  Its allgather chunks
+  // have no live holder to re-root from.  Until the eviction every send to
+  // or from it fails, so the chunks and contributions it takes part in use
+  // up a re-issue budget of one, and the allreduce chunk it owns uses up
+  // the default budget of 64.
+  const auto fail_15 = [](Fixture& fx, svc::GroupService&, svc::GroupId) {
+    fx.sched.schedule_at(1e-9, [&fx] { fx.service.network().fail_node(15); });
+  };
+  const auto voided = [&got, &fail_15](const std::string& name, coll::OpKind op,
+                                       coll::CollConfig cfg) {
+    const PinRun r = run_pinned_phase(op, cfg, fail_15);
+    ASSERT_EQ(r.results.size(), 1u) << name;
+    EXPECT_TRUE(r.results[0].completed) << name;
+    EXPECT_TRUE(r.results[0].degraded) << name;
+    EXPECT_GT(r.results[0].chunks_voided, 0u) << name;
+    got.emplace_back(name, r.hash());
+  };
+  voided("allgather root fails", coll::OpKind::kAllgather, {.chunks = 2});
+  voided("broadcast re-issue budget", coll::OpKind::kBroadcast,
+         {.chunks = 2, .max_reissues_per_chunk = 1});
+  voided("allreduce owner fails", coll::OpKind::kAllreduce, {.chunks = 4});
+  voided("allreduce re-issue budget", coll::OpKind::kAllreduce,
+         {.chunks = 4, .max_reissues_per_chunk = 1});
+
+  const std::vector<std::pair<std::string, std::uint64_t>> want = {
+    {"quiet broadcast", 0xb2c49123130d26ceULL},
+    {"quiet barrier", 0x2d7ef36424f69287ULL},
+    {"quiet allgather", 0xd71daae9ac1acda3ULL},
+    {"quiet allreduce", 0xf05cc6ad249c1114ULL},
+    {"quiet all_to_all_broadcast", 0x813b6d315fbc04f5ULL},
+    {"churn allgather 11", 0x2d8c8bbe2d9cd5c8ULL},
+    {"churn allgather 42", 0xa05cdc9cfa2d6098ULL},
+    {"churn allgather 77", 0xb54b18eb5f1b66eeULL},
+    {"churn allgather 99", 0xd642aa818f42380aULL},
+    {"churn allreduce 5", 0x08fe26c8e8ffd0e3ULL},
+    {"churn allreduce 29", 0x0170b44e99ae6c52ULL},
+    {"churn allreduce 301", 0xe9a778cbb9c6a222ULL},
+    {"churn allreduce 5 budget 1", 0x44ac55638044ab4aULL},
+    {"allreduce owner leaves", 0xe7e56655cb3dc94bULL},
+    {"allgather root fails", 0x88f29235f34364c0ULL},
+    {"broadcast re-issue budget", 0x9de7a8a6544988e8ULL},
+    {"allreduce owner fails", 0x423861b97f2c9d5dULL},
+    {"allreduce re-issue budget", 0x45478654914fd9d3ULL},
+  };
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].first, want[i].first);
+    EXPECT_EQ(got[i].second, want[i].second) << got[i].first;
   }
 }
 

@@ -6,13 +6,17 @@
 #     sent twice), and
 #   * the all-to-all broadcast step model completes on every torus within
 #     2x the Jung & Sakho lower bound ceil((k^n - 1) / (2n)).
+# Then run the bench again at scale 1 and require its series to equal the
+# committed BENCH_collectives.json exactly, so every simulated count and
+# time of the collective layer is a regression oracle (about 0.3 s).
 # Run from anywhere:
 #   tools/coll_smoke.sh <build-dir> [out-dir]
 set -euo pipefail
 
 build_dir=${1:?usage: coll_smoke.sh <build-dir> [out-dir]}
 out_dir=${2:-"${build_dir}/coll-smoke"}
-mkdir -p "${out_dir}"
+repo_dir=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
+mkdir -p "${out_dir}/scale1"
 
 export MCNET_BENCH_SCALE=${MCNET_BENCH_SCALE:-0.5}
 export MCNET_BENCH_JSON_DIR="${out_dir}"
@@ -59,4 +63,35 @@ for pt in series["atab_model"]:
 print(f"coll smoke: zero-churn allreduce reissued 0 chunks across "
       f"{zero[0]['phases_completed']} phases; atab within 2x bound on "
       f"{len(series['atab_model'])} tori")
+EOF
+
+echo "== bench_collectives (scale 1, against BENCH_collectives.json) =="
+MCNET_BENCH_SCALE=1 MCNET_BENCH_JSON_DIR="${out_dir}/scale1" \
+  "${build_dir}/bench/bench_collectives" > /dev/null
+
+python3 - "${repo_dir}/BENCH_collectives.json" "${out_dir}/scale1/bench_collectives.json" <<'EOF'
+import json, sys
+
+committed, fresh = (json.load(open(p)) for p in sys.argv[1:3])
+assert committed["scale"] == fresh["scale"] == 1, "the oracle compares scale-1 runs only"
+want = {s["name"]: s["points"] for s in committed["series"]}
+got = {s["name"]: s["points"] for s in fresh["series"]}
+diffs = []
+for name in sorted(set(want) | set(got)):
+    a, b = want.get(name, []), got.get(name, [])
+    if len(a) != len(b):
+        diffs.append(f"{name}: {len(a)} committed points, {len(b)} now")
+        continue
+    for pa, pb in zip(a, b):
+        fields = sorted(k for k in set(pa) | set(pb) if pa.get(k) != pb.get(k))
+        if fields:
+            diffs.append(f"{name} x={pa.get('x')}: " + ", ".join(
+                f"{k} {pa.get(k)!r} -> {pb.get(k)!r}" for k in fields))
+if diffs or fresh["series"] != committed["series"]:
+    print("coll smoke: scale-1 series differ from BENCH_collectives.json:")
+    for d in diffs:
+        print("  " + d)
+    sys.exit(1)
+print(f"coll smoke: scale-1 series equal BENCH_collectives.json "
+      f"({sum(len(p) for p in got.values())} points)")
 EOF
