@@ -32,8 +32,10 @@ void BM_DualPathPrepare(benchmark::State& state) {
   const auto k = static_cast<std::uint32_t>(state.range(0));
   const auto req = random_request(big_mesh(), k, 1);
   const ham::MeshBoustrophedonLabeling lab(big_mesh());
+  mcast::DualPathSplit split;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(mcast::dual_path_prepare(lab, req));
+    mcast::dual_path_prepare(lab, req, split);
+    benchmark::DoNotOptimize(split);
   }
   state.SetComplexityN(k);
 }

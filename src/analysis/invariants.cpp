@@ -1,6 +1,7 @@
 #include "analysis/invariants.hpp"
 
 #include <algorithm>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 
@@ -94,38 +95,44 @@ void check_quadrants(const Scenario& s, const MulticastRequest& instance,
 }
 
 // One worm never acquires the same virtual channel twice; duplicates mean
-// the route claims capacity it cannot hold.
+// the route claims capacity it cannot hold.  `channels` holds the channel
+// of every hop in verify_route() order.
 void check_capacity(const Scenario& s, const MulticastRequest& instance,
-                    const MulticastRoute& route, Recorder& rec) {
-  const auto vc_of = [&](std::uint8_t cls, NodeId from, NodeId to) {
-    const ChannelId c = s.topology->channel(from, to);
-    const std::uint8_t copy = s.copy_of ? s.copy_of(cls, from, to) : 0;
-    return virtual_channel_id(c, copy, s.channel_copies);
+                    const MulticastRoute& route, std::span<const ChannelId> channels,
+                    Recorder& rec) {
+  thread_local mcast::RequestScratch acquired;
+  const std::uint32_t num_vcs = s.topology->num_channels() * s.channel_copies;
+  std::size_t hop = 0;
+  ChannelId twice = topo::kInvalidChannel;  // smallest duplicate of the current worm
+  const auto begin_worm = [&] {
+    acquired.begin(num_vcs);
+    twice = topo::kInvalidChannel;
   };
-  const auto report_duplicates = [&](std::vector<ChannelId> vcs, const char* what) {
-    std::sort(vcs.begin(), vcs.end());
-    const auto dup = std::adjacent_find(vcs.begin(), vcs.end());
-    if (dup != vcs.end()) {
+  const auto acquire = [&](std::uint8_t cls, NodeId from, NodeId to) {
+    const std::uint8_t copy = s.copy_of ? s.copy_of(cls, from, to) : 0;
+    const ChannelId vc = virtual_channel_id(channels[hop++], copy, s.channel_copies);
+    if (!acquired.mark(vc)) twice = std::min(twice, vc);
+  };
+  const auto end_worm = [&](const char* what) {
+    if (twice != topo::kInvalidChannel) {
       rec.violation("capacity", instance,
-                    std::string(what) + " acquires virtual channel " + std::to_string(*dup) +
+                    std::string(what) + " acquires virtual channel " + std::to_string(twice) +
                         " twice");
     }
   };
   for (const PathRoute& path : route.paths) {
-    std::vector<ChannelId> vcs;
-    vcs.reserve(path.nodes.empty() ? 0 : path.nodes.size() - 1);
+    begin_worm();
     for (std::size_t i = 0; i + 1 < path.nodes.size(); ++i) {
-      vcs.push_back(vc_of(path.channel_class, path.nodes[i], path.nodes[i + 1]));
+      acquire(path.channel_class, path.nodes[i], path.nodes[i + 1]);
     }
-    report_duplicates(std::move(vcs), "path worm");
+    end_worm("path worm");
   }
   for (const TreeRoute& tree : route.trees) {
-    std::vector<ChannelId> vcs;
-    vcs.reserve(tree.links.size());
+    begin_worm();
     for (const TreeRoute::Link& link : tree.links) {
-      vcs.push_back(vc_of(tree.channel_class, link.from, link.to));
+      acquire(tree.channel_class, link.from, link.to);
     }
-    report_duplicates(std::move(vcs), "tree worm");
+    end_worm("tree worm");
   }
 }
 
@@ -156,6 +163,7 @@ InvariantReport check_invariants(const Scenario& scenario, const AnalysisConfig&
       enumerate_instances(*scenario.topology, config.max_set_size, config.max_instances);
   report.instances_checked = instances.size();
 
+  std::vector<ChannelId> channels;  // each hop's channel, looked up once
   for (const MulticastRequest& instance : instances) {
     MulticastRoute route;
     try {
@@ -165,7 +173,7 @@ InvariantReport check_invariants(const Scenario& scenario, const AnalysisConfig&
       continue;
     }
     try {
-      mcast::verify_route(*scenario.topology, instance, route);
+      mcast::verify_route(*scenario.topology, instance, route, &channels);
     } catch (const std::exception& e) {
       rec.violation("structure", instance, e.what());
       continue;
@@ -176,7 +184,7 @@ InvariantReport check_invariants(const Scenario& scenario, const AnalysisConfig&
     if (scenario.quadrant_mesh != nullptr) {
       check_quadrants(scenario, instance, route, rec);
     }
-    check_capacity(scenario, instance, route, rec);
+    check_capacity(scenario, instance, route, channels, rec);
     check_shortest(scenario, instance, route, rec);
   }
   return report;

@@ -115,6 +115,8 @@ void add_tree_dependencies(const Scenario& s, const TreeRoute& tree, ChannelGrap
                            EdgeTag tag) {
   thread_local std::vector<ChannelId> vcs;
   thread_local LinkClosures closure;
+  thread_local std::vector<std::pair<ChannelId, std::size_t>> by_channel;  // (vc, link)
+  thread_local std::vector<ChannelId> targets;
   tree_link_vcs(s, tree, vcs);
   if (s.tree_semantics == TreeSemantics::kIndependentBranches) {
     for (std::size_t i = 0; i < tree.links.size(); ++i) {
@@ -128,12 +130,20 @@ void add_tree_dependencies(const Scenario& s, const TreeRoute& tree, ChannelGrap
   // Lock-step: a blocked branch stalls the whole worm, so any held channel
   // h can wait on any channel r whose acquisition does not require h --
   // i.e. every ordered pair (h, r) with r outside h's requirement closure.
+  // Each held channel's targets go in as one sorted list.
   closure.build(tree);
-  for (std::size_t h = 0; h < tree.links.size(); ++h) {
-    for (std::size_t r = 0; r < tree.links.size(); ++r) {
-      if (h == r || vcs[h] == vcs[r] || closure.test(h, r)) continue;
-      g.add_dependency(vcs[h], vcs[r], tag);
+  by_channel.clear();
+  for (std::size_t l = 0; l < vcs.size(); ++l) by_channel.emplace_back(vcs[l], l);
+  std::sort(by_channel.begin(), by_channel.end());
+  for (std::size_t h = 0; h < vcs.size(); ++h) {
+    targets.clear();
+    for (const auto& [vc, r] : by_channel) {
+      if (vc == vcs[h] || closure.test(h, r) || (!targets.empty() && targets.back() == vc)) {
+        continue;
+      }
+      targets.push_back(vc);
     }
+    g.add_dependencies(vcs[h], targets, tag);
   }
 }
 
@@ -419,8 +429,28 @@ std::optional<DeadlockCandidate> find_deadlock(const Scenario& s,
   return cand;
 }
 
+// True when two routes induce the same dependencies: the same path nodes
+// and tree links in the same channel classes.  Delivery positions do not
+// enter the dependencies.
+bool same_dependencies(const MulticastRoute& a, const MulticastRoute& b) {
+  return std::equal(a.paths.begin(), a.paths.end(), b.paths.begin(), b.paths.end(),
+                    [](const PathRoute& x, const PathRoute& y) {
+                      return x.channel_class == y.channel_class && x.nodes == y.nodes;
+                    }) &&
+         std::equal(a.trees.begin(), a.trees.end(), b.trees.begin(), b.trees.end(),
+                    [](const TreeRoute& x, const TreeRoute& y) {
+                      return x.channel_class == y.channel_class && x.links == y.links;
+                    });
+}
+
 ChannelGraph build_cdg_over(const Scenario& s, const std::vector<MulticastRequest>& instances) {
   ChannelGraph g(s.topology->num_channels() * s.channel_copies);
+  // The last route added and how many instances in a row added it.  Every
+  // instance brings a new tag, so once the same route has been added
+  // kMaxTagsPerEdge times each of its edges holds a full tag set, and adding
+  // it again cannot change the graph.
+  MulticastRoute last;
+  std::size_t repeats = 0;
   for (std::size_t i = 0; i < instances.size(); ++i) {
     MulticastRoute route;
     try {
@@ -428,7 +458,14 @@ ChannelGraph build_cdg_over(const Scenario& s, const std::vector<MulticastReques
     } catch (const std::exception&) {
       continue;  // unroutable instances are reported by the invariant pass
     }
+    if (repeats > 0 && same_dependencies(route, last)) {
+      if (repeats == ChannelGraph::kMaxTagsPerEdge) continue;
+      ++repeats;
+    } else {
+      repeats = 1;
+    }
     add_route_dependencies(s, route, g, static_cast<EdgeTag>(i));
+    last = std::move(route);
   }
   return g;
 }

@@ -520,7 +520,8 @@ namespace {
 
 std::vector<WormSpec> dual_path_worms(const ham::Labeling& labeling,
                                       const MulticastRequest& request) {
-  mcast::DualPathSplit split = mcast::dual_path_prepare(labeling, request);
+  mcast::DualPathSplit split;
+  mcast::dual_path_prepare(labeling, request, split);
   std::vector<WormSpec> worms;
   worms.reserve(2);
   if (!split.high.empty()) {

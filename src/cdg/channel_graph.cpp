@@ -14,11 +14,86 @@ void ChannelGraph::add_dependency(ChannelId from, ChannelId to, EdgeTag tag) {
     s.insert(it, to);
     t.emplace(t.begin() + static_cast<std::ptrdiff_t>(idx));
   }
-  if (tag == kNoEdgeTag) return;
-  TagSet& edge = t[idx];
-  if (edge.count >= kMaxTagsPerEdge) return;
-  const auto end = edge.tags.begin() + edge.count;
-  if (std::find(edge.tags.begin(), end, tag) == end) edge.tags[edge.count++] = tag;
+  t[idx].add(tag);
+}
+
+namespace {
+
+constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
+
+std::size_t slot_of(std::uint64_t key, std::size_t mask) {
+  return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> 32) & mask;
+}
+
+}  // namespace
+
+bool ChannelGraph::known_full(std::uint64_t key) const {
+  if (full_.empty()) return false;
+  const std::size_t mask = full_.size() - 1;
+  for (std::size_t i = slot_of(key, mask);; i = (i + 1) & mask) {
+    if (full_[i] == key) return true;
+    if (full_[i] == kEmptyKey) return false;
+  }
+}
+
+void ChannelGraph::note_full(std::uint64_t key) {
+  if (2 * (num_full_ + 1) > full_.size()) {
+    // Double the table and place its keys again.
+    std::vector<std::uint64_t> old(std::max<std::size_t>(64, 2 * full_.size()), kEmptyKey);
+    old.swap(full_);
+    num_full_ = 0;
+    for (const std::uint64_t k : old) {
+      if (k != kEmptyKey) note_full(k);
+    }
+  }
+  const std::size_t mask = full_.size() - 1;
+  std::size_t i = slot_of(key, mask);
+  while (full_[i] != kEmptyKey) i = (i + 1) & mask;
+  full_[i] = key;
+  ++num_full_;
+}
+
+void ChannelGraph::add_dependencies(ChannelId from, std::span<const ChannelId> targets,
+                                    EdgeTag tag) {
+  auto& s = succ_.at(from);
+  auto& t = tags_.at(from);
+  const std::uint64_t row_key = std::uint64_t{from} << 32;
+  // Tag the edges that exist and count the new ones; edges with a full tag
+  // set cannot change.
+  std::size_t fresh = 0;
+  auto it = s.begin();
+  for (const ChannelId to : targets) {
+    if (known_full(row_key | to)) continue;
+    it = std::lower_bound(it, s.end(), to);
+    if (it != s.end() && *it == to) {
+      TagSet& edge = t[static_cast<std::size_t>(it - s.begin())];
+      edge.add(tag);
+      if (edge.count == kMaxTagsPerEdge) note_full(row_key | to);
+    } else {
+      ++fresh;
+    }
+  }
+  if (fresh == 0) return;
+  // Merge the new edges in from the back, so each entry moves at most once.
+  std::size_t i = s.size();
+  std::size_t j = targets.size();
+  std::size_t k = s.size() + fresh;
+  s.resize(k);
+  t.resize(k);
+  while (j > 0) {
+    --k;
+    if (i > 0 && s[i - 1] >= targets[j - 1]) {
+      if (s[i - 1] == targets[j - 1]) --j;  // existing edge, tagged above
+      --i;
+      s[k] = s[i];
+      t[k] = t[i];
+    } else {
+      --j;
+      s[k] = targets[j];
+      t[k] = TagSet{};
+      t[k].add(tag);
+    }
+  }
 }
 
 std::size_t ChannelGraph::num_dependencies() const {

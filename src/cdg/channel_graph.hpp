@@ -54,6 +54,10 @@ class ChannelGraph {
   /// nothing).  Duplicate (from, to) pairs are merged; their tag sets are
   /// unioned up to kMaxTagsPerEdge distinct tags.
   void add_dependency(ChannelId from, ChannelId to, EdgeTag tag);
+  /// add_dependency(from, to, tag) for every `to` of `targets`, which must
+  /// be sorted ascending without repeats, in one merge with from's
+  /// successor row.
+  void add_dependencies(ChannelId from, std::span<const ChannelId> targets, EdgeTag tag);
 
   [[nodiscard]] std::uint32_t num_channels() const {
     return static_cast<std::uint32_t>(succ_.size());
@@ -85,10 +89,28 @@ class ChannelGraph {
   struct TagSet {
     std::array<EdgeTag, kMaxTagsPerEdge> tags{};
     std::uint8_t count = 0;
+
+    /// Attach `tag` unless it is kNoEdgeTag, already present, or the set
+    /// is full.
+    void add(EdgeTag tag) {
+      if (tag == kNoEdgeTag || count >= kMaxTagsPerEdge) return;
+      for (std::uint8_t i = 0; i < count; ++i) {
+        if (tags[i] == tag) return;
+      }
+      tags[count++] = tag;
+    }
   };
+
+  // Edges known to hold a full tag set, as from << 32 | to keys in an
+  // open-addressing table (power-of-two size, at most half full): a bulk
+  // add passes over them with one probe instead of a search of the row.
+  [[nodiscard]] bool known_full(std::uint64_t key) const;
+  void note_full(std::uint64_t key);
 
   std::vector<std::vector<ChannelId>> succ_;  // sorted adjacency
   std::vector<std::vector<TagSet>> tags_;     // parallel to succ_
+  std::vector<std::uint64_t> full_;           // kEmptyKey marks a free slot
+  std::size_t num_full_ = 0;
 };
 
 /// Build the CDG of `route` on `topology`: for every (source, destination)

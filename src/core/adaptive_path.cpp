@@ -67,7 +67,8 @@ PathRoute random_walk(const topo::Topology& topology, const ham::Labeling& label
 MulticastRoute adaptive_dual_path_route(const topo::Topology& topology,
                                         const ham::Labeling& labeling,
                                         const MulticastRequest& request, evsim::Rng& rng) {
-  const DualPathSplit split = dual_path_prepare(labeling, request);
+  thread_local DualPathSplit split;
+  dual_path_prepare(labeling, request, split);
   MulticastRoute route;
   route.source = request.source;
   if (!split.high.empty()) {

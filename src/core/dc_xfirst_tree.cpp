@@ -1,7 +1,11 @@
 #include "core/dc_xfirst_tree.hpp"
 
+#include <algorithm>
 #include <array>
+#include <cstdlib>
 #include <stdexcept>
+
+#include "core/sublists.hpp"
 
 namespace mcnet::mcast {
 
@@ -13,32 +17,33 @@ using topo::NodeId;
 // X-first tree restricted to one quadrant subnetwork (Fig. 6.6 generalised
 // to all four quadrants): advance in the quadrant's X direction while any
 // destination lies strictly ahead in X, branching off a Y-column sublist at
-// each matching column.
-void forward(const topo::Mesh2D& mesh, TreeRoute& tree, NodeId w, std::int32_t link_into_w,
-             const std::vector<NodeId>& dests, std::int32_t sx, std::int32_t sy) {
+// each matching column.  The destinations are dests[begin, end); their
+// column and ahead sublists are appended to `dests` while the subtrees are
+// routed.
+void forward(const topo::Mesh2D& mesh, TreeRoute& tree, std::vector<Coord2>& dests,
+             std::size_t begin, std::size_t end, NodeId w, std::int32_t link_into_w,
+             std::int32_t sx, std::int32_t sy) {
   const Coord2 c = mesh.coord(w);
-  std::vector<NodeId> column, ahead;
-  for (const NodeId d : dests) {
-    const Coord2 dc = mesh.coord(d);
-    if (dc.x == c.x && dc.y == c.y) {
-      if (link_into_w < 0) throw std::logic_error("source cannot be a destination");
-      tree.delivery_links.push_back(static_cast<std::uint32_t>(link_into_w));
-    } else if (dc.x == c.x) {
-      column.push_back(d);
-    } else {
-      ahead.push_back(d);
-    }
-  }
-  if (!column.empty()) {
+  const std::size_t top = dests.size();
+  // 0 = column, 1 = ahead, 2 = arrived.
+  const auto sub = append_sublists<2>(dests, begin, end, [c](Coord2 d) -> std::size_t {
+    return d.x != c.x ? 1 : d.y != c.y ? 0 : 2;
+  });
+  const std::size_t arrived = end - begin - (sub[2] - sub[0]);
+  if (arrived != 0 && link_into_w < 0) throw std::logic_error("source cannot be a destination");
+  tree.delivery_links.insert(tree.delivery_links.end(), arrived,
+                             static_cast<std::uint32_t>(link_into_w));
+  if (sub[0] != sub[1]) {
     const NodeId next = mesh.node(c.x, c.y + sy);
     const auto link = static_cast<std::int32_t>(tree.add_link(w, next, link_into_w));
-    forward(mesh, tree, next, link, column, sx, sy);
+    forward(mesh, tree, dests, sub[0], sub[1], next, link, sx, sy);
   }
-  if (!ahead.empty()) {
+  if (sub[1] != sub[2]) {
     const NodeId next = mesh.node(c.x + sx, c.y);
     const auto link = static_cast<std::int32_t>(tree.add_link(w, next, link_into_w));
-    forward(mesh, tree, next, link, ahead, sx, sy);
+    forward(mesh, tree, dests, sub[1], sub[2], next, link, sx, sy);
   }
+  dests.resize(top);
 }
 
 }  // namespace
@@ -64,25 +69,39 @@ std::uint8_t quadrant_channel_copy(Quadrant q, std::int32_t dx, std::int32_t dy)
 
 MulticastRoute dc_xfirst_tree_route(const topo::Mesh2D& mesh,
                                     const MulticastRequest& request) {
+  thread_local std::vector<Coord2> dests;
+  dests.clear();
   const Coord2 s = mesh.coord(request.source);
-  std::array<std::vector<NodeId>, 4> per_quadrant;
+  // Per quadrant: the destinations' X-first path lengths, which bound the
+  // quadrant tree's links.
+  std::array<std::size_t, 4> path_links{};
   for (const NodeId d : request.destinations) {
-    per_quadrant[static_cast<std::size_t>(quadrant_of(s, mesh.coord(d)))].push_back(d);
+    const Coord2 c = mesh.coord(d);
+    dests.push_back(c);
+    path_links[static_cast<std::size_t>(quadrant_of(s, c))] +=
+        static_cast<std::size_t>(std::abs(c.x - s.x) + std::abs(c.y - s.y));
   }
+  const auto quadrants = append_sublists<4>(dests, 0, dests.size(), [s](Coord2 c) {
+    return static_cast<std::size_t>(quadrant_of(s, c));
+  });
 
   static constexpr std::array<std::pair<std::int32_t, std::int32_t>, 4> kSigns = {
       {{+1, +1}, {-1, +1}, {-1, -1}, {+1, -1}}};
 
   MulticastRoute route;
   route.source = request.source;
+  std::size_t trees = 0;
+  for (std::size_t q = 0; q < 4; ++q) trees += quadrants[q] != quadrants[q + 1] ? 1 : 0;
+  route.trees.reserve(trees);
   for (std::size_t q = 0; q < 4; ++q) {
-    if (per_quadrant[q].empty()) continue;
-    TreeRoute tree;
+    if (quadrants[q] == quadrants[q + 1]) continue;
+    TreeRoute& tree = route.trees.emplace_back();
     tree.source = request.source;
     tree.channel_class = static_cast<std::uint8_t>(q);
-    forward(mesh, tree, request.source, -1, per_quadrant[q], kSigns[q].first,
-            kSigns[q].second);
-    route.trees.push_back(std::move(tree));
+    tree.links.reserve(std::min<std::size_t>(path_links[q], mesh.num_nodes() - 1));
+    tree.delivery_links.reserve(quadrants[q + 1] - quadrants[q]);
+    forward(mesh, tree, dests, quadrants[q], quadrants[q + 1], request.source, -1,
+            kSigns[q].first, kSigns[q].second);
   }
   return route;
 }

@@ -4,13 +4,14 @@
 
 namespace mcnet::mcast {
 
-DualPathSplit dual_path_prepare(const ham::Labeling& labeling,
-                                const MulticastRequest& request) {
-  DualPathSplit split;
+void dual_path_prepare(const ham::Labeling& labeling, const MulticastRequest& request,
+                       DualPathSplit& split) {
   const std::uint32_t ls = labeling.label(request.source);
   const auto num_high = static_cast<std::size_t>(
       std::count_if(request.destinations.begin(), request.destinations.end(),
                     [&](topo::NodeId d) { return labeling.label(d) > ls; }));
+  split.high.clear();
+  split.low.clear();
   split.high.reserve(num_high);
   split.low.reserve(request.destinations.size() - num_high);
   for (const topo::NodeId d : request.destinations) {
@@ -22,13 +23,13 @@ DualPathSplit dual_path_prepare(const ham::Labeling& labeling,
   std::sort(split.low.begin(), split.low.end(), [&](topo::NodeId a, topo::NodeId b) {
     return labeling.label(a) > labeling.label(b);
   });
-  return split;
 }
 
 MulticastRoute dual_path_route(const topo::Topology& topology, const ham::Labeling& labeling,
                                const MulticastRequest& request) {
   const LabelRouter router(topology, labeling);
-  const DualPathSplit split = dual_path_prepare(labeling, request);
+  thread_local DualPathSplit split;
+  dual_path_prepare(labeling, request, split);
   MulticastRoute route;
   route.source = request.source;
   route.paths.reserve(static_cast<std::size_t>(!split.high.empty()) +

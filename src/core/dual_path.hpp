@@ -24,8 +24,10 @@ struct DualPathSplit {
   std::vector<topo::NodeId> high;  // ascending label order
   std::vector<topo::NodeId> low;   // descending label order
 };
-[[nodiscard]] DualPathSplit dual_path_prepare(const ham::Labeling& labeling,
-                                              const MulticastRequest& request);
+/// Fills `split` with the preparation of `request`, reusing its lists'
+/// capacity (the routers keep one split per thread).
+void dual_path_prepare(const ham::Labeling& labeling, const MulticastRequest& request,
+                       DualPathSplit& split);
 
 [[nodiscard]] MulticastRoute dual_path_route(const topo::Topology& topology,
                                              const ham::Labeling& labeling,

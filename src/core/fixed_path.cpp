@@ -7,19 +7,24 @@ namespace mcnet::mcast {
 MulticastRoute fixed_path_route(const topo::Topology& topology, const ham::Labeling& labeling,
                                 const MulticastRequest& request) {
   (void)topology;  // adjacency is implied by the Hamiltonian labeling
-  const DualPathSplit split = dual_path_prepare(labeling, request);
+  thread_local DualPathSplit split;
+  dual_path_prepare(labeling, request, split);
   const std::uint32_t ls = labeling.label(request.source);
 
   MulticastRoute route;
   route.source = request.source;
+  route.paths.reserve(static_cast<std::size_t>(!split.high.empty()) +
+                      static_cast<std::size_t>(!split.low.empty()));
 
   const auto emit = [&](const std::vector<topo::NodeId>& side, bool high,
                         std::uint8_t channel_class) {
     if (side.empty()) return;
     // The side list is sorted with the extreme label last.
     const std::uint32_t extreme = labeling.label(side.back());
-    PathRoute path;
+    PathRoute& path = route.paths.emplace_back();
     path.channel_class = channel_class;
+    path.nodes.reserve(static_cast<std::size_t>(high ? extreme - ls : ls - extreme) + 1);
+    path.delivery_hops.reserve(side.size());
     std::size_t next_target = 0;
     for (std::uint32_t l = ls;; high ? ++l : --l) {
       path.nodes.push_back(labeling.node_at(l));
@@ -29,7 +34,6 @@ MulticastRoute fixed_path_route(const topo::Topology& topology, const ham::Label
       }
       if (l == extreme) break;
     }
-    route.paths.push_back(std::move(path));
   };
   emit(split.high, /*high=*/true, kHighChannelClass);
   emit(split.low, /*high=*/false, kLowChannelClass);

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
+#include <string>
 #include <utility>
 
 namespace mcnet::mcast {
@@ -108,48 +108,83 @@ std::uint32_t MulticastRoute::num_deliveries() const {
   return n;
 }
 
+namespace {
+
+// Delivery counts of one verify_route() call, per node: a node is a
+// requested destination iff its stamp is the call's epoch.  Grown on
+// demand and never cleared, so a check allocates nothing once the arrays
+// cover the topology.
+struct DeliveryCounts {
+  std::vector<std::uint64_t> stamp;
+  std::vector<std::uint32_t> count;
+  std::uint64_t epoch = 0;
+};
+
+}  // namespace
+
 void verify_route(const topo::Topology& topology, const MulticastRequest& request,
-                  const MulticastRoute& route) {
+                  const MulticastRoute& route, std::vector<topo::ChannelId>* hop_channels) {
   if (route.source != request.source) throw std::logic_error("route source mismatch");
-  std::unordered_map<NodeId, int> delivered;
-  for (const NodeId d : request.destinations) delivered[d] = 0;
+  thread_local DeliveryCounts counts;
+  const std::uint32_t n = topology.num_nodes();
+  if (counts.stamp.size() < n) {
+    counts.stamp.resize(n, 0);
+    counts.count.resize(n, 0);
+  }
+  const std::uint64_t epoch = ++counts.epoch;
+  for (const NodeId d : request.destinations) {
+    if (d >= n) continue;  // never delivered: reported below
+    counts.stamp[d] = epoch;
+    counts.count[d] = 0;
+  }
+  const auto deliver = [&](NodeId v) {
+    if (v >= n || counts.stamp[v] != epoch) {
+      throw std::logic_error("delivery at non-destination");
+    }
+    ++counts.count[v];
+  };
+  const auto hop = [&](NodeId from, NodeId to) {
+    const topo::ChannelId c = topology.channel(from, to);
+    if (c != topo::kInvalidChannel && hop_channels != nullptr) hop_channels->push_back(c);
+    return c != topo::kInvalidChannel;
+  };
+  if (hop_channels != nullptr) hop_channels->clear();
 
   for (const PathRoute& p : route.paths) {
     if (p.nodes.empty()) throw std::logic_error("empty path");
     if (p.nodes.front() != request.source) throw std::logic_error("path must start at source");
     for (std::size_t i = 0; i + 1 < p.nodes.size(); ++i) {
-      if (!topology.adjacent(p.nodes[i], p.nodes[i + 1])) {
+      if (!hop(p.nodes[i], p.nodes[i + 1])) {
         throw std::logic_error("path step between non-neighbours");
       }
     }
     for (const std::uint32_t h : p.delivery_hops) {
       if (h >= p.nodes.size()) throw std::logic_error("delivery hop out of range");
-      const auto it = delivered.find(p.nodes[h]);
-      if (it == delivered.end()) throw std::logic_error("delivery at non-destination");
-      ++it->second;
+      deliver(p.nodes[h]);
     }
   }
   for (const TreeRoute& t : route.trees) {
     if (t.source != request.source) throw std::logic_error("tree source mismatch");
     for (std::size_t i = 0; i < t.links.size(); ++i) {
       const TreeRoute::Link& l = t.links[i];
-      if (!topology.adjacent(l.from, l.to)) throw std::logic_error("tree link between non-neighbours");
+      if (!hop(l.from, l.to)) throw std::logic_error("tree link between non-neighbours");
+      if (l.parent >= static_cast<std::int32_t>(i)) {
+        throw std::logic_error("tree parent not topologically ordered");
+      }
       const NodeId expected_from = l.parent < 0
                                        ? t.source
                                        : t.links[static_cast<std::size_t>(l.parent)].to;
-      if (l.parent >= static_cast<std::int32_t>(i)) throw std::logic_error("tree parent not topologically ordered");
       if (l.from != expected_from) throw std::logic_error("tree link detached from parent");
     }
     for (const std::uint32_t li : t.delivery_links) {
       if (li >= t.links.size()) throw std::logic_error("delivery link out of range");
-      const auto it = delivered.find(t.links[li].to);
-      if (it == delivered.end()) throw std::logic_error("delivery at non-destination");
-      ++it->second;
+      deliver(t.links[li].to);
     }
   }
-  for (const auto& [node, count] : delivered) {
+  for (const NodeId d : request.destinations) {
+    const std::uint32_t count = d < n ? counts.count[d] : 0;
     if (count != 1) {
-      throw std::logic_error("destination " + std::to_string(node) + " delivered " +
+      throw std::logic_error("destination " + std::to_string(d) + " delivered " +
                              std::to_string(count) + " times");
     }
   }

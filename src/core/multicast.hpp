@@ -13,11 +13,11 @@ namespace mcnet::mcast {
 
 using topo::NodeId;
 
-/// Reusable duplicate-scan workspace for request normalization: an
-/// epoch-tagged mark per node id, grown on demand and never cleared, so a
-/// scan over an n-node id space costs O(destinations) with zero allocations
-/// once the buffer has reached n.  One instance per thread; not
-/// thread-safe itself.
+/// Reusable duplicate-scan workspace for request normalization (and for the
+/// analyzer's per-worm channel scans): an epoch-tagged mark per id, grown
+/// on demand and never cleared, so a scan over an n-id space costs
+/// O(marks) with zero allocations once the buffer has reached n.  One
+/// instance per thread; not thread-safe itself.
 class RequestScratch {
  public:
   /// Start a new scan over a `num_nodes`-node id space.
@@ -148,10 +148,14 @@ struct MulticastRoute {
   friend bool operator==(const MulticastRoute&, const MulticastRoute&) = default;
 };
 
-/// Structural validation used by tests and the simulator: consecutive path
-/// nodes adjacent, tree links well-formed, and every requested destination
-/// delivered exactly once.  Throws std::logic_error on violation.
+/// Structural validation used by tests, the simulator and the analyzer:
+/// consecutive path nodes adjacent, tree links well-formed, and every
+/// requested destination delivered exactly once.  Throws std::logic_error on
+/// violation; a destination delivered other than once is named in request
+/// order.  When `hop_channels` is given, it receives the channel of every
+/// hop checked: each path's hops in order, then each tree's links in order.
 void verify_route(const topo::Topology& topology, const MulticastRequest& request,
-                  const MulticastRoute& route);
+                  const MulticastRoute& route,
+                  std::vector<topo::ChannelId>* hop_channels = nullptr);
 
 }  // namespace mcnet::mcast

@@ -60,6 +60,81 @@ TEST(Instances, StrideSamplingRespectsBudget) {
   EXPECT_LE(sampled.size(), 110u);  // stride rounding may slightly overshoot
 }
 
+// Reference enumeration: walk every combination of every source in order
+// and keep every stride-th one.
+std::vector<MulticastRequest> walked_instances(std::uint32_t n, std::uint32_t max_set_size,
+                                               std::size_t max_instances) {
+  const std::size_t total = analysis::count_instances(n, max_set_size);
+  const std::size_t stride = max_instances == 0 || total <= max_instances
+                                 ? 1
+                                 : (total + max_instances - 1) / max_instances;
+  std::vector<MulticastRequest> out;
+  std::size_t index = 0;
+  for (NodeId src = 0; src < n; ++src) {
+    std::vector<NodeId> others;
+    for (NodeId v = 0; v < n; ++v) {
+      if (v != src) others.push_back(v);
+    }
+    for (std::uint32_t s = 1; s <= max_set_size && s <= n - 1; ++s) {
+      std::vector<std::uint32_t> pick(s);
+      for (std::uint32_t i = 0; i < s; ++i) pick[i] = i;
+      for (;;) {
+        if (index++ % stride == 0) {
+          MulticastRequest req{src, {}};
+          for (const std::uint32_t i : pick) req.destinations.push_back(others[i]);
+          out.push_back(std::move(req));
+        }
+        std::uint32_t j = s;
+        while (j > 0 && pick[j - 1] == n - 1 - s + j - 1) --j;
+        if (j == 0) break;
+        ++pick[j - 1];
+        for (std::uint32_t i = j; i < s; ++i) pick[i] = pick[i - 1] + 1;
+      }
+    }
+  }
+  return out;
+}
+
+TEST(Instances, SampledEnumerationMatchesTheFullWalk) {
+  for (const char* spec : {"mesh:3x3", "mesh:4x4", "cube:4", "kary:3x2"}) {
+    const auto fixture = analysis::make_fixture(spec);
+    const std::uint32_t n = fixture.topology->num_nodes();
+    for (const std::uint32_t max_set_size : {1u, 2u, 3u, 4u, n - 1, n + 3}) {
+      for (const std::size_t max_instances : {std::size_t{0}, std::size_t{1}, std::size_t{7},
+                                              std::size_t{100}, std::size_t{997},
+                                              std::size_t{5000}}) {
+        if (analysis::count_instances(n, max_set_size) > 200000 && max_instances == 0) continue;
+        ASSERT_EQ(analysis::enumerate_instances(*fixture.topology, max_set_size, max_instances),
+                  walked_instances(n, max_set_size, max_instances))
+            << spec << " max_set_size " << max_set_size << " max_instances " << max_instances;
+      }
+    }
+  }
+}
+
+// 64 * (2^63 - 1) instances do not fit in size_t: the count saturates, and
+// an enumeration over a space it cannot index is refused by name instead of
+// walking it for ever.
+TEST(Instances, SaturatedCountIsRejected) {
+  constexpr std::size_t kMax = static_cast<std::size_t>(-1);
+  EXPECT_EQ(analysis::count_instances(64, 2), 64u * (63u + 63u * 62u / 2u));
+  EXPECT_EQ(analysis::count_instances(58, 57), 58u * ((std::size_t{1} << 57) - 1));
+  ASSERT_EQ(analysis::count_instances(64, 63), kMax);
+  EXPECT_EQ(analysis::count_instances(1u << 22, 2), kMax);
+  const auto fixture = analysis::make_fixture("cube:6");
+  try {
+    (void)analysis::enumerate_instances(*fixture.topology, 63, 20000);
+    ADD_FAILURE() << "a saturated instance count was enumerated";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("max_set_size"), std::string::npos) << e.what();
+  }
+  // A space that fits but is far too large to walk is sampled by jumping.
+  ASSERT_LT(analysis::count_instances(64, 23), kMax);
+  const auto sampled = analysis::enumerate_instances(*fixture.topology, 23, 1000);
+  EXPECT_EQ(sampled.size(), 1000u);
+  EXPECT_EQ(sampled.front(), (MulticastRequest{0, {1}}));
+}
+
 // A zero set-size bound enumerates nothing, so an analysis run on it would
 // certify CLEAN over zero instances.  Every analysis must refuse instead,
 // naming the field.
@@ -473,6 +548,125 @@ TEST(AnalysisPin, OutputsOnCiTopologiesAreUnchanged) {
   for (const auto& p : pinned) {
     const std::string text = analyzer_outputs(p.spec);
     EXPECT_EQ(fnv1a(text), p.hash) << p.spec << " outputs:\n" << text;
+  }
+}
+
+// FNV-1a over a stream of integers, each fed as its eight bytes.
+class Fnv {
+ public:
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) h_ = (h_ ^ ((v >> (8 * i)) & 0xffu)) * 1099511628211ull;
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 14695981039346656037ull;
+};
+
+// Every enumerated instance, every field of its route, and every edge of
+// the multicast CDG over the same instances with its tags in order.
+std::uint64_t routes_and_edges_hash(const analysis::Fixture& fixture, Algorithm algorithm,
+                                    const std::vector<MulticastRequest>& instances) {
+  const Scenario s = analysis::make_scenario(fixture, algorithm);
+  Fnv f;
+  for (const MulticastRequest& r : instances) {
+    f.add(r.source);
+    f.add(r.destinations.size());
+    for (const NodeId d : r.destinations) f.add(d);
+    MulticastRoute route;
+    try {
+      route = s.route(r);
+    } catch (const std::exception&) {
+      f.add(~std::uint64_t{0});
+      continue;
+    }
+    f.add(route.source);
+    f.add(route.paths.size());
+    for (const mcast::PathRoute& p : route.paths) {
+      f.add(p.channel_class);
+      f.add(p.nodes.size());
+      for (const NodeId v : p.nodes) f.add(v);
+      f.add(p.delivery_hops.size());
+      for (const std::uint32_t h : p.delivery_hops) f.add(h);
+    }
+    f.add(route.trees.size());
+    for (const TreeRoute& t : route.trees) {
+      f.add(t.source);
+      f.add(t.channel_class);
+      f.add(t.links.size());
+      for (const TreeRoute::Link& l : t.links) {
+        f.add(l.from);
+        f.add(l.to);
+        f.add(static_cast<std::uint64_t>(static_cast<std::int64_t>(l.parent)));
+        f.add(l.depth);
+      }
+      f.add(t.delivery_links.size());
+      for (const std::uint32_t l : t.delivery_links) f.add(l);
+    }
+  }
+  const cdg::ChannelGraph g = analysis::build_multicast_cdg(s, instances);
+  f.add(g.num_channels());
+  for (ChannelId c = 0; c < g.num_channels(); ++c) {
+    f.add(g.successors(c).size());
+    for (const ChannelId d : g.successors(c)) {
+      const auto tags = g.edge_tags(c, d);
+      f.add(d);
+      f.add(tags.size());
+      for (const cdg::EdgeTag t : tags) f.add(t);
+    }
+  }
+  return f.value();
+}
+
+// The instances, routes and CDG edge tags behind every deadlock verdict, on
+// the five CI topologies and verify_mesh's mesh:8x8, at verify_mesh's
+// 20 000-instance budget.  Every binomial-broadcast instance from one
+// source of cube:4 routes the same tree.  A moved hash is a changed
+// enumeration, route, dependency or tag.
+TEST(AnalysisPin, RoutesAndEdgeTagsAreUnchanged) {
+  const struct {
+    const char* spec;
+    Algorithm algorithm;
+    std::uint64_t hash;
+  } pinned[] = {
+      {"mesh:5x4", Algorithm::kXFirstMT, 2561305810755722073ull},
+      {"mesh:5x4", Algorithm::kDCXFirstTree, 2068612552897215797ull},
+      {"mesh:5x4", Algorithm::kDualPath, 15351910154297732785ull},
+      {"mesh:5x4", Algorithm::kMultiPath, 16647345083626596442ull},
+      {"mesh:5x4", Algorithm::kFixedPath, 6057363259314743854ull},
+      {"cube:4", Algorithm::kBinomialBroadcast, 7100765133167144989ull},
+      {"cube:4", Algorithm::kEcubeMT, 13123834543978059125ull},
+      {"cube:4", Algorithm::kDualPath, 12529352120258374910ull},
+      {"cube:4", Algorithm::kMultiPath, 12550093725016068397ull},
+      {"cube:4", Algorithm::kFixedPath, 15777491023505017565ull},
+      {"mesh3:3x3x3", Algorithm::kDualPath, 10493957663181335813ull},
+      {"mesh3:3x3x3", Algorithm::kMultiPath, 11846242909910314073ull},
+      {"mesh3:3x3x3", Algorithm::kFixedPath, 10323992475573347418ull},
+      {"kary:4x2", Algorithm::kDualPath, 14236857914909075689ull},
+      {"kary:4x2", Algorithm::kMultiPath, 4600046304193696385ull},
+      {"kary:4x2", Algorithm::kFixedPath, 14747727090640436669ull},
+      {"karymesh:4x3", Algorithm::kDualPath, 9305648085136092291ull},
+      {"karymesh:4x3", Algorithm::kMultiPath, 15749276200600838591ull},
+      {"karymesh:4x3", Algorithm::kFixedPath, 1388171330841696967ull},
+      {"mesh:8x8", Algorithm::kXFirstMT, 14378210179991925337ull},
+      {"mesh:8x8", Algorithm::kDCXFirstTree, 4747312386318027630ull},
+      {"mesh:8x8", Algorithm::kDualPath, 2017423556297248229ull},
+      {"mesh:8x8", Algorithm::kMultiPath, 4722390398111378285ull},
+      {"mesh:8x8", Algorithm::kFixedPath, 3898168508981990118ull},
+  };
+  const AnalysisConfig config{.max_instances = 20000};
+  std::string spec;
+  std::optional<analysis::Fixture> fixture;
+  std::vector<MulticastRequest> instances;
+  for (const auto& p : pinned) {
+    if (spec != p.spec) {
+      spec = p.spec;
+      fixture.emplace(analysis::make_fixture(spec));
+      instances = analysis::enumerate_instances(*fixture->topology, config.max_set_size,
+                                                config.max_instances);
+    }
+    EXPECT_EQ(routes_and_edges_hash(*fixture, p.algorithm, instances), p.hash)
+        << p.spec << ' ' << mcast::algorithm_name(p.algorithm);
   }
 }
 

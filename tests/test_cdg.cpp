@@ -130,6 +130,40 @@ TEST(ChannelGraph, EdgeTagSetsSaturate) {
   EXPECT_EQ(g.num_dependencies(), 1u);
 }
 
+// The bulk add merges a sorted target list into a row exactly as one
+// add_dependency per target would: new edges before, between and after the
+// existing ones, existing edges gaining the tag, full tag sets untouched.
+TEST(ChannelGraph, BulkAddEqualsOneAddPerTarget) {
+  constexpr std::uint32_t kChannels = 40;
+  ChannelGraph bulk(kChannels);
+  ChannelGraph single(kChannels);
+  std::uint64_t state = 12345;
+  const auto next = [&state] {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<std::uint32_t>(state >> 33);
+  };
+  for (cdg::EdgeTag tag = 0; tag < 400; ++tag) {
+    const ChannelId from = next() % 4;
+    std::vector<ChannelId> targets;
+    for (ChannelId to = 0; to < kChannels; ++to) {
+      if (next() % 5 == 0) targets.push_back(to);
+    }
+    bulk.add_dependencies(from, targets, tag % 7 == 0 ? cdg::kNoEdgeTag : tag);
+    for (const ChannelId to : targets) {
+      single.add_dependency(from, to, tag % 7 == 0 ? cdg::kNoEdgeTag : tag);
+    }
+  }
+  ASSERT_EQ(bulk.num_dependencies(), single.num_dependencies());
+  for (ChannelId c = 0; c < kChannels; ++c) {
+    ASSERT_EQ(bulk.successors(c), single.successors(c)) << c;
+    for (const ChannelId d : single.successors(c)) {
+      const auto a = bulk.edge_tags(c, d);
+      const auto b = single.edge_tags(c, d);
+      EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << c << " -> " << d;
+    }
+  }
+}
+
 TEST(Cdg, XFirstRoutingIsDeadlockFreeOnMesh) {
   // Fig. 2.5: the CDG of X-first routing has no cycle.
   const Mesh2D mesh(4, 4);

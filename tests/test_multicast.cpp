@@ -127,6 +127,40 @@ TEST(VerifyRoute, AcceptsValidRejectsBroken) {
   EXPECT_THROW(verify_route(mesh, req, disjoint), std::logic_error);
 }
 
+std::string verify_error(const topo::Topology& topology, const MulticastRequest& request,
+                         const MulticastRoute& route) {
+  try {
+    verify_route(topology, request, route);
+  } catch (const std::logic_error& e) {
+    return e.what();
+  }
+  return "accepted";
+}
+
+// A tree link's parent index is checked before the parent is read: a parent
+// past the end of the link list is refused by name, not read out of bounds.
+TEST(VerifyRoute, TreeParentIsCheckedBeforeItIsRead) {
+  const Mesh2D mesh(4, 4);
+  const MulticastRequest req{0, {1, 4}};
+  MulticastRoute route;
+  route.source = 0;
+  TreeRoute& tree = route.trees.emplace_back();
+  tree.source = 0;
+  tree.links.push_back({0, 1, 5, 1});
+  tree.delivery_links = {0};
+  EXPECT_EQ(verify_error(mesh, req, route), "tree parent not topologically ordered");
+
+  tree.links[0].parent = -1;
+  EXPECT_EQ(verify_error(mesh, req, route), "destination 4 delivered 0 times");
+  tree.add_link(0, 4, -1);
+  tree.delivery_links = {1, 0, 1};
+  EXPECT_EQ(verify_error(mesh, req, route), "destination 4 delivered 2 times");
+  tree.delivery_links = {1, 0};
+  EXPECT_EQ(verify_error(mesh, req, route), "accepted");
+  tree.delivery_links = {1, 0, 0, 1};  // both over-delivered: request order names 1 first
+  EXPECT_EQ(verify_error(mesh, req, route), "destination 1 delivered 2 times");
+}
+
 TEST(Baselines, MultiUnicastTrafficIsSumOfDistances) {
   const Mesh2D mesh(8, 8);
   const auto unicast = cdg::xfirst_routing(mesh);

@@ -205,7 +205,8 @@ TEST(DualPath, PaperExampleTraffic33) {
 TEST(DualPath, PreparationSplitMatchesPaper) {
   const Mesh2D mesh(6, 6);
   const ham::MeshBoustrophedonLabeling lab(mesh);
-  const auto split = dual_path_prepare(lab, fig6_request(mesh));
+  mcast::DualPathSplit split;
+  dual_path_prepare(lab, fig6_request(mesh), split);
   EXPECT_EQ(split.high,
             (std::vector<NodeId>{mesh.node(5, 3), mesh.node(1, 3), mesh.node(5, 4),
                                  mesh.node(4, 5), mesh.node(0, 5)}));
@@ -247,7 +248,8 @@ TEST(DualPath, CubeExampleFig619) {
   const Hypercube cube(4);
   const ham::HypercubeGrayLabeling lab(cube);
   const MulticastRequest req{0b1100, {0b0100, 0b0011, 0b0111, 0b1000, 0b1111}};
-  const auto split = dual_path_prepare(lab, req);
+  mcast::DualPathSplit split;
+  dual_path_prepare(lab, req, split);
   EXPECT_EQ(split.high, (std::vector<NodeId>{0b1111, 0b1000}));
   EXPECT_EQ(split.low, (std::vector<NodeId>{0b0100, 0b0111, 0b0011}));
   const MulticastRoute route = dual_path_route(cube, lab, req);

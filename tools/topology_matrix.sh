@@ -21,6 +21,13 @@ MCNET_VERIFY_MATRIX=(
   "cube:4 dual-path clean"
   "cube:4 multi-path clean"
   "cube:4 fixed-path clean"
+  # 6-cube: the nCUBE-2 broadcast tree's counterexample at the paper's
+  # scale (every instance from one source routes the same 63-link tree)
+  "cube:6 ecube-MT deadlock"
+  "cube:6 binomial-broadcast deadlock"
+  "cube:6 dual-path clean"
+  "cube:6 multi-path clean"
+  "cube:6 fixed-path clean"
   # 3-D mesh
   "mesh3:3x3x3 dual-path clean"
   "mesh3:3x3x3 multi-path clean"
